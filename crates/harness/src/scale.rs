@@ -61,6 +61,9 @@ pub struct ScaleCell {
     pub cross_probes: u64,
     /// Transactions aborted by cross-shard probes (zero when resumed).
     pub cross_aborts: u64,
+    /// Sharer announcements the inter-cluster directory received (zero
+    /// when resumed).
+    pub dir_notes: u64,
     /// Barrier stall fraction (0..1; zero when resumed).
     pub stall: f64,
     /// True when the cell's stats came from a checkpoint, not a fresh run.
@@ -149,6 +152,7 @@ pub fn sweep(
                     epochs: 0,
                     cross_probes: 0,
                     cross_aborts: 0,
+                    dir_notes: 0,
                     stall: 0.0,
                     resumed: true,
                 };
@@ -165,6 +169,7 @@ pub fn sweep(
                     epochs: out.scale.epochs,
                     cross_probes: out.scale.cross_probes,
                     cross_aborts: out.scale.cross_aborts,
+                    dir_notes: out.scale.dir_notes,
                     stall: out.scale.barrier_stall_fraction(),
                     resumed: false,
                 };
@@ -213,7 +218,7 @@ impl ScaleReport {
             format!("scale — shard-parallel throughput ({}, seed {:#x})", self.preset, self.seed),
             &[
                 "cores", "threads", "txns", "wall ms", "Macc/s", "speedup", "epochs",
-                "stall %", "x-probes", "x-aborts",
+                "stall %", "x-probes", "x-aborts", "dir notes",
             ],
         );
         for c in &self.cells {
@@ -243,6 +248,7 @@ impl ScaleReport {
                 format!("{:.1}", c.stall * 100.0),
                 c.cross_probes.to_string(),
                 c.cross_aborts.to_string(),
+                c.dir_notes.to_string(),
             ]);
         }
         t
@@ -377,7 +383,7 @@ pub fn scale_round_entry(report: &ScaleReport, round: u64, git_subject: &str) ->
             out.push_str(&format!(
                 "{{\"cores\": {}, \"threads\": {}, \"txns\": {}, \"wall_ms\": {:.3}, \
                  \"macc_per_sec\": {:.3}, \"epochs\": {}, \"stall_pct\": {:.1}, \
-                 \"cross_probes\": {}, \"cross_aborts\": {}}}",
+                 \"cross_probes\": {}, \"cross_aborts\": {}, \"dir_notes\": {}}}",
                 c.cores,
                 c.threads,
                 c.txns,
@@ -387,6 +393,7 @@ pub fn scale_round_entry(report: &ScaleReport, round: u64, git_subject: &str) ->
                 c.stall * 100.0,
                 c.cross_probes,
                 c.cross_aborts,
+                c.dir_notes,
             ));
         }
     }
@@ -491,6 +498,7 @@ mod tests {
                 epochs: 7,
                 cross_probes: 3,
                 cross_aborts: 1,
+                dir_notes: 6,
                 stall: 0.25,
                 resumed: false,
             }],

@@ -300,6 +300,8 @@ impl DirLatency {
 #[derive(Debug, Default)]
 pub struct InterClusterDirectory {
     sharers: FxHashMap<LineAddr, u64>,
+    /// `note` calls received (sharer announcements).
+    pub notes: u64,
     /// Directory lookups served (one per committed-line footprint).
     pub lookups: u64,
     /// Cross-cluster probes routed to sharing clusters.
@@ -317,6 +319,7 @@ impl InterClusterDirectory {
     /// Note that `cluster` now holds speculative state for `line`.
     #[inline]
     pub fn note(&mut self, line: LineAddr, cluster: usize) {
+        self.notes += 1;
         *self.sharers.entry(line).or_insert(0) |= 1u64 << cluster;
     }
 

@@ -357,9 +357,11 @@ pub struct CommitRecord {
 /// bit-transparent to every statistic — the golden fence pins this.
 #[derive(Debug, Default)]
 pub struct EpochLog {
-    /// Lines whose speculative state went empty→present this epoch, in
-    /// event order (duplicates possible across attempts; the directory
-    /// insert is idempotent).
+    /// Lines that gained speculative state in this machine for the first
+    /// time ever, in event order: each line appears at most once over the
+    /// whole run. That is all the directory needs, because it never clears
+    /// a sharer bit and the barrier notes every log before it routes any
+    /// commit (DESIGN.md §15).
     pub spec_touched: Vec<LineAddr>,
     /// Commit footprints, in commit order (non-decreasing cycle).
     pub commits: Vec<CommitRecord>,
@@ -469,6 +471,10 @@ pub struct Machine {
     epoch: EpochLog,
     /// [`Machine::enable_epoch_log`] was called.
     epoch_on: bool,
+    /// Per line id: already pushed onto [`EpochLog::spec_touched`]. The
+    /// inter-cluster directory's sharer bits are monotone, so a line is
+    /// announced once per machine, not once per transaction that touches it.
+    announced: Vec<bool>,
     /// Shared progress snapshot, refreshed every
     /// [`crate::snapshot::PUBLISH_EVERY_STEPS`] steps when attached
     /// (hoisted-`Option` pattern like `faults_on`): the serve layer's
@@ -571,6 +577,7 @@ impl Machine {
             monitor: ProgressMonitor::with_system_cores(n, system),
             epoch: EpochLog::default(),
             epoch_on: false,
+            announced: Vec::new(),
             progress_probe: None,
             cancel: None,
         }
@@ -586,6 +593,7 @@ impl Machine {
             self.directory.push(0);
             self.residency.push(0);
             self.spec_cores.push(0);
+            self.announced.push(false);
             self.spec_masks
                 .resize(self.spec_masks.len() + self.cores.len(), (0, 0));
         }
@@ -1676,7 +1684,7 @@ impl Machine {
                     self.spec_dir_mark(lid, who, mask, is_write);
                 }
                 if self.epoch_on && !was_spec {
-                    self.epoch.spec_touched.push(line);
+                    self.announce_spec_line(line, lid);
                 }
             }
             return Ok(lat.l1);
@@ -1898,6 +1906,17 @@ impl Machine {
             self.spec_dir_mark(lid, who, mask, is_write);
         }
         if self.epoch_on && !was_spec {
+            self.announce_spec_line(line, lid);
+        }
+    }
+
+    /// Log `line` for the inter-cluster directory the first time it ever
+    /// gains speculative state here; later transactions find its sharer
+    /// bit already set.
+    #[inline]
+    fn announce_spec_line(&mut self, line: LineAddr, lid: LineId) {
+        if !self.announced[lid as usize] {
+            self.announced[lid as usize] = true;
             self.epoch.spec_touched.push(line);
         }
     }

@@ -14,9 +14,10 @@
 //! boundary — completely independently, touching no shared state — and then
 //! the engine resolves cross-shard traffic at a single-threaded barrier:
 //!
-//! 1. every line that *gained speculative state* this epoch is noted in the
-//!    inter-cluster directory (conservative: entries are never removed,
-//!    mirroring HT-Assist's never-cleaned probe filter);
+//! 1. every line that gained speculative state in a shard *for the first
+//!    time* this epoch is noted in the inter-cluster directory
+//!    (conservative: entries are never removed, mirroring HT-Assist's
+//!    never-cleaned probe filter, so one note per line per shard suffices);
 //! 2. every committed write footprint is routed through the directory to
 //!    the other clusters holding (possibly stale) speculative state on the
 //!    line, where it lands as an external invalidating probe and aborts
@@ -114,6 +115,10 @@ pub struct ScaleStats {
     pub cross_probes: u64,
     /// Transactions aborted by external probes.
     pub cross_aborts: u64,
+    /// Sharer announcements the directory received: one per line per
+    /// shard that ever held speculative state on it, so at most
+    /// `clusters × dir_lines`.
+    pub dir_notes: u64,
     /// Inter-cluster directory lookups (one per routed committed line).
     pub dir_lookups: u64,
     /// Directory-routed probe hops (targets across all lookups).
@@ -170,6 +175,12 @@ impl ScaleStats {
             "Transactions aborted by external probes",
             &[],
             self.cross_aborts,
+        );
+        r.counter(
+            "asf_shard_dir_notes",
+            "Sharer announcements the inter-cluster directory received",
+            &[],
+            self.dir_notes,
         );
         r.counter(
             "asf_shard_dir_lookups",
@@ -338,6 +349,7 @@ impl ShardEngine {
             stats.merge(&o.stats);
         }
         stats.cycles = per_shard_cycles.iter().copied().max().unwrap_or(0);
+        self.scale.dir_notes = self.dir.notes;
         self.scale.dir_lookups = self.dir.lookups;
         self.scale.dir_probes_routed = self.dir.probes_routed;
         self.scale.dir_latency_cycles = self.dir.latency_cycles;
@@ -528,6 +540,11 @@ mod tests {
         assert_eq!(seq.scale.cross_probes, par.scale.cross_probes);
         assert_eq!(seq.scale.cross_aborts, par.scale.cross_aborts);
         assert_eq!(seq.scale.dir_lookups, par.scale.dir_lookups);
+        assert_eq!(seq.scale.dir_notes, par.scale.dir_notes);
+        // Each shard announces a line at most once, however many
+        // transactions touch it.
+        assert!(seq.scale.dir_notes > 0);
+        assert!(seq.scale.dir_notes <= 4 * seq.scale.dir_lines as u64);
         // The timeline records every epoch (well under the cap here), and
         // its `until` sequence — pure simulated state — matches too.
         assert_eq!(seq.scale.timeline.len(), seq.scale.epochs as usize);
@@ -579,6 +596,45 @@ mod tests {
     }
 
     #[test]
+    fn reader_announced_once_is_still_aborted_by_a_later_commit() {
+        // Shard 0 commits a write to L early and again at ~1.5M cycles.
+        // Shard 1's reader of L (a 1M-cycle transaction) is aborted by the
+        // first routed commit and re-reads L at ~1M cycles, many epochs
+        // later. The re-read announces nothing new (shard 1's sharer bit
+        // is already set), yet the second commit must still reach and
+        // abort it.
+        let write = |value| {
+            WorkItem::Tx(TxAttempt::new(vec![TxOp::Write { addr: Addr(0x1000), size: 8, value }]))
+        };
+        let scripts = vec![
+            vec![write(1), WorkItem::Compute { cycles: 1_500_000 }, write(2)],
+            vec![WorkItem::Tx(TxAttempt::new(vec![
+                TxOp::Read { addr: Addr(0x1000), size: 8 },
+                TxOp::Compute { cycles: 1_000_000 },
+            ]))],
+        ];
+        let w = ScriptedWorkload { name: "cross_twice", scripts };
+        let base = SimConfig::paper_seeded(DetectorKind::SubBlock(4), 3);
+        let out = ShardEngine::new(
+            &w,
+            base,
+            ShardConfig {
+                total_cores: 2,
+                cores_per_cluster: 1,
+                epoch_cycles: 4096,
+                worker_threads: 1,
+                dir_latency: DirLatency::opteron_like(),
+            },
+        )
+        .try_run()
+        .expect("run");
+        assert_eq!(out.scale.dir_lines, 1);
+        assert_eq!(out.scale.dir_notes, 2, "one announcement per shard, not per attempt");
+        assert_eq!(out.scale.cross_aborts, 2, "the re-read must not lose its route");
+        assert_eq!(out.stats.tx_committed, 3);
+    }
+
+    #[test]
     fn barrier_stall_fraction_is_bounded() {
         let s = ScaleStats::default();
         assert_eq!(s.barrier_stall_fraction(), 0.0);
@@ -597,6 +653,7 @@ mod tests {
             epochs: 7,
             cross_probes: 12,
             cross_aborts: 3,
+            dir_notes: 5,
             busy: vec![Duration::from_millis(30), Duration::from_millis(10)],
             epoch_wall: Duration::from_millis(40),
             timeline: vec![EpochSpan {
@@ -610,6 +667,7 @@ mod tests {
         let text = s.to_openmetrics();
         let exp = asf_stats::openmetrics::parse_exposition(&text).expect("parses");
         assert_eq!(exp.value("asf_shard_epochs_total", &[]), Some(7.0));
+        assert_eq!(exp.value("asf_shard_dir_notes_total", &[]), Some(5.0));
         let stall = exp
             .value("asf_shard_epoch_barrier_stall", &[("epoch", "0")])
             .expect("per-epoch stall gauge present");

@@ -4,8 +4,21 @@
 //! qualities the simulator does not need for maps keyed by line addresses
 //! it generated itself — and costs tens of cycles per lookup. This is the
 //! Firefox/rustc "Fx" construction: per word, `state = (state rotl 5 ^
-//! word) * K` with a single odd 64-bit constant. No external crate
-//! (offline build; see vendor/README.md for the dependency policy).
+//! word) * K` with a single odd 64-bit constant, and `finish` rotates the
+//! state left by 26 bits. No external crate (offline build; see
+//! vendor/README.md for the dependency policy).
+//!
+//! Why the rotate: `HashMap` picks a bucket from the hash's *low* bits, and
+//! bit `i` of a product `x·K` depends only on bits `0..=i` of `x`. Returned
+//! unrotated, the low 15 bits of a key's hash are a function of the key's
+//! low 15 bits alone. The streaming workloads place their pools at 1 MiB
+//! strides, so their line addresses differ mostly *above* bit 14: the
+//! 17,472 lines of the `million` layout (273 pools of 64 lines) collapsed
+//! into 128 of 32,768 buckets, and every directory, interner and write-set
+//! lookup on them walked long probe chains. Rotating brings the product's
+//! well-mixed middle bits (26..) down to the bucket index: that layout then
+//! reaches 16,607 distinct low-15-bit values, and sequential keys keep
+//! their spread. `streaming_pool_lines_spread_over_buckets` pins this.
 //!
 //! Iteration order of an `FxHashMap` differs from the std default, so this
 //! must only back maps whose iteration order is never observable — every
@@ -44,7 +57,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 
     #[inline]
@@ -141,5 +154,32 @@ mod tests {
             low_bits.insert(hash_of(|h| h.write_u64(i)) & 0xff);
         }
         assert!(low_bits.len() > 128, "only {} distinct low bytes", low_bits.len());
+    }
+
+    #[test]
+    fn streaming_pool_lines_spread_over_buckets() {
+        // The line keys of the streaming workloads' address plan
+        // (`asf-workloads::streaming`, `million` at 256 cores): 256
+        // private pools at 1 TiB + tid·1 MiB, 16 cluster pools at 2 TiB +
+        // cluster·1 MiB and one global pool at 3 TiB, 64 lines each. The
+        // 1 MiB stride puts the pool index above bit 14 of the line
+        // address, where an unrotated product cannot carry it into the low
+        // bits a 32,768-bucket table indexes with.
+        use crate::addr::{Addr, LineAddr};
+        use std::hash::BuildHasher;
+        const TIB: u64 = 1 << 40;
+        const STRIDE: u64 = 1 << 20;
+        let bases = (0..256)
+            .map(|tid| TIB + tid * STRIDE)
+            .chain((0..16).map(|cluster| 2 * TIB + cluster * STRIDE))
+            .chain([3 * TIB]);
+        let lines: Vec<LineAddr> = bases
+            .flat_map(|base| (0..64).map(move |i| Addr(base + i * 64).line()))
+            .collect();
+        assert_eq!(lines.len(), 17_472);
+        let build = FxBuildHasher::default();
+        let homes: std::collections::HashSet<u64> =
+            lines.iter().map(|l| build.hash_one(l) & 0x7fff).collect();
+        assert!(homes.len() >= 8192, "only {} distinct low-15-bit homes", homes.len());
     }
 }

@@ -7,12 +7,12 @@
 //! bounded: recording is O(1) and the memory cost is fixed no matter how
 //! long the server runs.
 //!
-//! A **dump trigger** — worker panic (the `PhaseGuard` unwinding), the
-//! deadline watchdog killing a job, or an explicit request — snapshots
-//! the ring to `flightrec_<pid>_<seq>.json` in the configured directory,
-//! written with the same temp-file + atomic-rename discipline as the
-//! cache store, so a crash mid-dump leaves either a whole artifact or
-//! nothing. Dumps are counted and surfaced in `/v1/healthz` as
+//! A **dump trigger** — a worker panic (`mark_panicked`, once the pool
+//! has caught it), the deadline watchdog killing a job, or an explicit
+//! request — snapshots the ring to `flightrec_<pid>_<seq>.json` in the
+//! configured directory, written with the same temp-file + atomic-rename
+//! discipline as the cache store, so a crash mid-dump leaves either a
+//! whole artifact or nothing. Dumps are counted and surfaced in `/v1/healthz` as
 //! `flight_dumps`; with no directory configured the ring still records
 //! and counts, it just keeps everything in memory (unit-test servers
 //! don't litter the tree).
@@ -122,7 +122,7 @@ impl FlightRecorder {
 
     /// Lifetime count of dump triggers (counted even with no directory).
     pub fn dumps(&self) -> u64 {
-        self.dumps.load(Ordering::Relaxed)
+        self.dumps.load(Ordering::Acquire)
     }
 
     /// Paths of every dump written so far.
@@ -154,14 +154,19 @@ impl FlightRecorder {
         out
     }
 
-    /// Fire a dump: record the trigger itself, count it, and — when a
-    /// directory is configured — persist the ring via temp+rename.
+    /// Fire a dump: record the trigger itself, persist the ring via
+    /// temp+rename when a directory is configured, and count it — in that
+    /// order, so a reader that sees the count also sees the path.
     /// Returns the written path. Never panics: a recorder that cannot
     /// write must not take the worker down a second time.
     pub fn dump(&self, reason: &str, job: Option<&str>) -> Option<PathBuf> {
         self.record("flightrec.dump", job, reason);
-        self.dumps.fetch_add(1, Ordering::Relaxed);
-        let dir = self.dir.as_ref()?;
+        let written = self.dir.as_ref().and_then(|dir| self.write_dump(dir, reason, job));
+        self.dumps.fetch_add(1, Ordering::Release);
+        written
+    }
+
+    fn write_dump(&self, dir: &Path, reason: &str, job: Option<&str>) -> Option<PathBuf> {
         let body = self.to_json(reason, job);
         let seq = self.dump_seq.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("flightrec_{}_{}.json", std::process::id(), seq));

@@ -16,9 +16,12 @@
 //! panic is counted, the worker *retires* (a panicked stack is not worth
 //! trusting for the next job), and a sentinel [`Drop`] guard spawns a
 //! fresh replacement thread, so capacity converges back to the configured
-//! worker count no matter how many jobs panic. [`WorkerPool::health`]
-//! snapshots live workers, lifetime panics, and respawns for the
-//! `/v1/healthz` readiness endpoint.
+//! worker count no matter how many jobs panic. A job submitted with
+//! [`WorkerPool::submit_with_recovery`] also names a handler that runs
+//! after the panic is counted, so whatever the handler publishes (a
+//! `failed` job phase) is never visible ahead of the count.
+//! [`WorkerPool::health`] snapshots live workers, lifetime panics, and
+//! respawns for the `/v1/healthz` readiness endpoint.
 //!
 //! The sentinel pushes the replacement's `JoinHandle` while still holding
 //! the state lock so a concurrent shutdown either observes `open ==
@@ -29,8 +32,14 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// A queued unit of work.
+/// A unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A queued job and the handler to run if it panics.
+struct Task {
+    run: Job,
+    on_panic: Job,
+}
 
 /// Rejection: the queue was at capacity. Carries the depth observed at
 /// rejection time (== capacity) for the `x-asf-queue-depth` header.
@@ -54,7 +63,7 @@ pub struct PoolHealth {
 }
 
 struct State {
-    queue: VecDeque<Job>,
+    queue: VecDeque<Task>,
     open: bool,
     live: usize,
     panics: u64,
@@ -105,11 +114,22 @@ impl WorkerPool {
     /// enqueue; `Err(PoolFull)` rejects without blocking when the queue is
     /// at capacity or the pool is shutting down.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<usize, PoolFull> {
+        self.submit_with_recovery(job, || {})
+    }
+
+    /// [`WorkerPool::submit`], plus `on_panic`, which the worker runs
+    /// after a panic in `job` has been counted in [`WorkerPool::health`]
+    /// and before the worker retires.
+    pub fn submit_with_recovery(
+        &self,
+        job: impl FnOnce() + Send + 'static,
+        on_panic: impl FnOnce() + Send + 'static,
+    ) -> Result<usize, PoolFull> {
         let mut state = self.shared.state.lock().unwrap();
         if !state.open || state.queue.len() >= self.shared.capacity {
             return Err(PoolFull(state.queue.len()));
         }
-        state.queue.push_back(Box::new(job));
+        state.queue.push_back(Task { run: Box::new(job), on_panic: Box::new(on_panic) });
         let depth = state.queue.len();
         drop(state);
         self.shared.cv.notify_one();
@@ -209,11 +229,11 @@ impl Drop for Sentinel {
 fn worker_loop(shared: &Arc<Shared>) {
     let mut sentinel = Sentinel { shared: Arc::clone(shared), clean: false };
     loop {
-        let job = {
+        let task = {
             let mut state = shared.state.lock().unwrap();
             loop {
-                if let Some(job) = state.queue.pop_front() {
-                    break job;
+                if let Some(task) = state.queue.pop_front() {
+                    break task;
                 }
                 if !state.open {
                     sentinel.clean = true;
@@ -222,8 +242,10 @@ fn worker_loop(shared: &Arc<Shared>) {
                 state = shared.cv.wait(state).unwrap();
             }
         };
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task.run)).is_err() {
             shared.state.lock().unwrap().panics += 1;
+            // Count first, then let the submitter publish the failure.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task.on_panic));
             // Retire: a stack that just unwound is not worth reusing.
             // `sentinel.clean` stays false, so Drop spawns a replacement.
             return;
@@ -313,5 +335,30 @@ mod tests {
         assert_eq!(health.respawns, 1);
         assert_eq!(health.live, 1);
         pool.shutdown();
+    }
+
+    #[test]
+    fn panic_handler_runs_after_the_panic_is_counted() {
+        let pool = Arc::new(WorkerPool::new(1, 16));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let seen_by_handler = Arc::clone(&pool);
+        pool.submit_with_recovery(
+            || panic!("poisoned job"),
+            move || {
+                let panics = seen_by_handler.health().panics;
+                // Release the pool here, not after the send: the last
+                // reference must not be dropped on the worker it joins.
+                drop(seen_by_handler);
+                tx.send(panics).unwrap();
+            },
+        )
+        .unwrap();
+        let panics = rx.recv_timeout(Duration::from_secs(10)).expect("handler ran");
+        assert_eq!(panics, 1, "the handler must see its own panic counted");
+        // A job that returns normally never runs its handler.
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        pool.submit_with_recovery(|| {}, move || tx.send(()).unwrap()).unwrap();
+        Arc::into_inner(pool).expect("sole owner").shutdown();
+        assert!(rx.try_recv().is_err());
     }
 }

@@ -574,6 +574,11 @@ fn mark_cancelled(state: &ServeState, entry: &JobEntry) {
         CancelKind::Deadline => {
             state.jobs_deadline_exceeded.fetch_add(1, Ordering::Relaxed);
             state.flightrec.record("job.deadline_exceeded", Some(&id), "deadline kill");
+            // A deadline kill is a dump trigger: the ring around it is the
+            // evidence for *why* the job overran. Written before the
+            // terminal phase is published, so a poller that sees it finds
+            // the dump.
+            state.flightrec.dump("deadline_exceeded", Some(&id));
             JobPhase::DeadlineExceeded
         }
     };
@@ -582,11 +587,6 @@ fn mark_cancelled(state: &ServeState, entry: &JobEntry) {
         .metrics
         .job_e2e_ns
         .record(entry.submitted_at.elapsed().as_nanos() as u64);
-    if matches!(kind, CancelKind::Deadline) {
-        // A deadline kill is a dump trigger: the ring around it is the
-        // evidence for *why* the job overran.
-        state.flightrec.dump("deadline_exceeded", Some(&id));
-    }
     entry.probe.finish();
 }
 
@@ -849,9 +849,12 @@ fn handle_submit(
         deadline: Instant::now() + Duration::from_millis(deadline_ms),
         submitted_at: Instant::now(),
     });
-    let job_state = Arc::clone(state);
-    let job_entry = Arc::clone(&entry);
-    let submit = state.pool.submit(move || execute_job(&job_state, &job_entry));
+    let (job_state, job_entry) = (Arc::clone(state), Arc::clone(&entry));
+    let (panic_state, panic_entry) = (Arc::clone(state), Arc::clone(&entry));
+    let submit = state.pool.submit_with_recovery(
+        move || execute_job(&job_state, &job_entry),
+        move || mark_panicked(&panic_state, &panic_entry),
+    );
     match submit {
         Ok(depth) => {
             state.jobs.lock().unwrap().insert(digest, entry);
@@ -920,37 +923,31 @@ fn mark_done_entry(state: &ServeState, digest: u64, spec: &JobSpec) {
     *entry.phase.lock().unwrap() = JobPhase::Done;
 }
 
-/// Marks the job `Failed` if execution unwinds without reaching a normal
-/// phase transition — a panicking job (injected or genuine) must leave a
-/// terminal state behind, or resubmissions would coalesce onto a
-/// permanently `running` ghost.
-struct PhaseGuard<'a> {
-    state: &'a ServeState,
-    entry: &'a JobEntry,
-    armed: bool,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        self.state.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        *self.entry.phase.lock().unwrap() =
-            JobPhase::Failed("worker panicked during execution; resubmit to retry".to_string());
-        // This drop only runs armed while unwinding a worker panic — the
-        // flight-recorder dump turns "respawns == panics" into a
-        // debuggable artifact naming the job that died.
-        let id = self.entry.spec.digest_hex();
-        self.state.flightrec.record("job.panic", Some(&id), "worker unwound");
-        self.state.flightrec.dump("worker_panic", Some(&id));
-        self.state.log.error("serve.worker_panic").str("digest", &id).emit();
-        self.state
-            .metrics
-            .job_e2e_ns
-            .record(self.entry.submitted_at.elapsed().as_nanos() as u64);
-        self.entry.probe.finish();
+/// A worker panicked while running the job: dump the flight recorder and
+/// mark the job `Failed`, exactly once. Runs from the pool after it has
+/// counted the panic, and writes everything before it publishes the
+/// phase, so a client that sees `failed` also sees the panic count and
+/// the dump. Without it, resubmissions would coalesce onto a permanently
+/// `running` ghost.
+fn mark_panicked(state: &ServeState, entry: &JobEntry) {
+    let mut phase = entry.phase.lock().unwrap();
+    if phase.is_terminal() {
+        return;
     }
+    // The dump turns "respawns == panics" into a debuggable artifact
+    // naming the job that died.
+    let id = entry.spec.digest_hex();
+    state.flightrec.record("job.panic", Some(&id), "worker unwound");
+    state.flightrec.dump("worker_panic", Some(&id));
+    state.log.error("serve.worker_panic").str("digest", &id).emit();
+    state.jobs_failed.fetch_add(1, Ordering::Relaxed);
+    *phase = JobPhase::Failed("worker panicked during execution; resubmit to retry".to_string());
+    drop(phase);
+    state
+        .metrics
+        .job_e2e_ns
+        .record(entry.submitted_at.elapsed().as_nanos() as u64);
+    entry.probe.finish();
 }
 
 /// Worker-side execution: run (or join) the computation, then publish the
@@ -971,7 +968,6 @@ fn execute_job(state: &Arc<ServeState>, entry: &Arc<JobEntry>) {
     let id = entry.spec.digest_hex();
     state.flightrec.record("job.running", Some(&id), "");
     state.log.debug("serve.job_running").str("digest", &id).emit();
-    let mut guard = PhaseGuard { state, entry, armed: true };
     let digest = entry.spec.digest();
     if state.chaos.enabled() {
         let attempt = {
@@ -997,15 +993,14 @@ fn execute_job(state: &Arc<ServeState>, entry: &Arc<JobEntry>) {
             }
             if entry.cancel.kind().is_some() {
                 mark_cancelled(state, entry);
-                guard.armed = false;
                 return;
             }
         }
         if decision.panic {
             state.chaos_panics_injected.fetch_add(1, Ordering::Relaxed);
             state.flightrec.record("chaos.panic", Some(&id), &format!("attempt {attempt}"));
-            // The PhaseGuard converts this into `failed`; the pool
-            // supervisor counts it and respawns the worker.
+            // The pool supervisor counts it, `mark_panicked` converts it
+            // into `failed`, and the worker is respawned.
             panic!("chaos: injected worker panic");
         }
     }
@@ -1020,7 +1015,6 @@ fn execute_job(state: &Arc<ServeState>, entry: &Arc<JobEntry>) {
         .metrics
         .execute_ns
         .record(execute_start.elapsed().as_nanos() as u64);
-    guard.armed = false;
     match result {
         Ok(_) => {
             state.jobs_completed.fetch_add(1, Ordering::Relaxed);
