@@ -3,7 +3,6 @@
 //! ```text
 //! asf-repro [EXPERIMENT ...] [--scale small|standard|large] [--seed N] [--csv DIR] [--json DIR]
 //!                            [--threads N] [--check-baseline BENCH_perf.json]
-//!                            [--checkpoint FILE] [--resume]
 //!
 //! EXPERIMENT: all | ext | table1 | table2 | table3 | fig1 .. fig10
 //!           | overhead | headline | diag | scaling | backoff | policy | charts | excluded | related | signatures | variance | adaptive | fabric | summary | faults | perf | profile:<bench> | trace:<bench>
@@ -16,22 +15,24 @@
 //! matrix worker-pool size — wall-clock only, results are identical for
 //! every worker count; default is the machine's available parallelism.
 //!
-//! Matrix jobs run under `catch_unwind` with one retry; a job that still
-//! fails becomes a failed cell — tables render partial results and the
-//! failures are listed at the end (exit code 1). `--checkpoint FILE`
-//! persists each completed job to `FILE` as it finishes; `--resume` loads
-//! the file first and re-runs only the jobs it is missing.
+//! Matrix jobs run under `catch_unwind`; a job that fails becomes a failed
+//! cell — tables render partial results and the failures are listed at
+//! the end (exit code 1). A failed job is not retried: the simulation is
+//! deterministic, so it would fail again.
+//!
+//! `perf`, `scale` and `loadtest` each record a round in `BENCH_perf.json`
+//! in the current directory: the file is parsed, the command changes only
+//! its own keys, and the document is written back atomically.
 
 use asf_harness::experiments;
-use asf_harness::matrix::{ComputeOpts, Matrix};
-use asf_harness::Checkpoint;
+use asf_harness::matrix::Matrix;
 use asf_stats::table::Table;
 use asf_workloads::Scale;
 
 const USAGE: &str = "usage: asf-repro [all|ext|table1|table2|table3|fig1..fig10|overhead|headline|diag|scaling|backoff|policy\
                      |charts|excluded|related|signatures|variance|adaptive|fabric|summary|faults|perf|observe|scale|serve|loadtest|chaos|dash|profile:<bench>|trace:<bench>]* \
                      [--scale small|standard|large|huge] [--seed N] [--csv DIR] [--json DIR] [--threads N] [--samples N] \
-                     [--check-baseline BENCH_perf.json] [--checkpoint FILE] [--resume] [--smoke] [--allow-failed] \
+                     [--check-baseline BENCH_perf.json] [--smoke] [--allow-failed] \
                      [--port N] [--clients N] [--cache-dir DIR] [--offline]";
 
 /// Subject line of the HEAD commit, for stamping report rounds.
@@ -53,8 +54,6 @@ fn main() {
     let mut csv_dir: Option<String> = None;
     let mut json_dir: Option<String> = None;
     let mut check_baseline: Option<String> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume = false;
     let mut smoke = false;
     let mut offline = false;
     let mut allow_failed = false;
@@ -122,13 +121,6 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--checkpoint" => {
-                i += 1;
-                checkpoint_path = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--checkpoint needs a file path\n{USAGE}");
-                    std::process::exit(2);
-                }));
-            }
             "--samples" => {
                 i += 1;
                 samples = args
@@ -165,13 +157,16 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--resume" => resume = true,
             "--smoke" => smoke = true,
             "--offline" => offline = true,
             "--allow-failed" => allow_failed = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown flag {flag}\n{USAGE}");
+                std::process::exit(2);
             }
             cmd => cmds.push(cmd.to_string()),
         }
@@ -199,31 +194,9 @@ fn main() {
                 | "headline" | "diag" | "charts" | "summary"
         )
     });
-    if resume && checkpoint_path.is_none() {
-        eprintln!("--resume needs --checkpoint FILE\n{USAGE}");
-        std::process::exit(2);
-    }
     let matrix = needs_matrix.then(|| {
         eprintln!("computing run matrix (scale {scale:?}, seed {seed:#x}) …");
-        let checkpoint = checkpoint_path.as_ref().map(|path| {
-            if resume {
-                Checkpoint::load_or_new(path).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                })
-            } else {
-                Checkpoint::new(path)
-            }
-        });
-        let opts = ComputeOpts { retries: 1, checkpoint, ..ComputeOpts::default() };
-        let m = Matrix::paper_grid_opts(scale, seed, opts);
-        if m.jobs_resumed > 0 {
-            eprintln!(
-                "resumed {} job(s) from checkpoint, ran {}",
-                m.jobs_resumed, m.jobs_run
-            );
-        }
-        m
+        Matrix::paper_grid(scale, seed)
     });
     let m = matrix.as_ref();
 
@@ -318,20 +291,17 @@ fn main() {
                 });
                 let report = asf_harness::perf::measure_samples(scale, seed, samples);
                 emit("perf", report.table());
-                // Carry the append-only round history — and any scale_rounds
-                // section — forward from the file being replaced (empty when
-                // absent) and record this run as the next round, stamped
-                // with HEAD's commit subject.
-                let old_json = std::fs::read_to_string("BENCH_perf.json").unwrap_or_default();
-                let prior = asf_harness::perf::parse_history(&old_json);
-                let history =
-                    asf_harness::perf::next_history(&prior, &report, &git_subject());
-                let rendered = report.to_json_with_history(&history);
-                let carried = asf_harness::scale::carry_scale_rounds(&old_json, &rendered);
-                let carried = asf_harness::serve::carry_serve_rounds(&old_json, &carried);
-                std::fs::write("BENCH_perf.json", carried)
-                    .expect("write BENCH_perf.json");
-                eprintln!("wrote BENCH_perf.json ({} history rounds)", history.len());
+                // Replace the grid's fields and append a history round
+                // stamped with HEAD's commit subject; every other key of
+                // the file (scale_rounds, serve_rounds) is kept as is.
+                let round = asf_harness::perf::update_report_file("BENCH_perf.json", |doc| {
+                    report.write_into(doc, &git_subject())
+                })
+                .unwrap_or_else(|e| {
+                    eprintln!("FAIL: {e}");
+                    std::process::exit(1);
+                });
+                eprintln!("wrote BENCH_perf.json ({round} history rounds)");
                 if let Some(json) = baseline {
                     match asf_harness::perf::check_against_baseline(&report, &json, 0.25) {
                         Ok(msg) => eprintln!("{msg}"),
@@ -364,22 +334,11 @@ fn main() {
                     asf_harness::scale::CORES_GRID,
                     asf_harness::scale::THREADS_GRID,
                 );
-                let mut checkpoint = checkpoint_path.as_ref().map(|path| {
-                    if resume {
-                        Checkpoint::load_or_new(path).unwrap_or_else(|e| {
-                            eprintln!("error: {e}");
-                            std::process::exit(2);
-                        })
-                    } else {
-                        Checkpoint::new(path)
-                    }
-                });
                 let report = asf_harness::scale::sweep(
                     preset,
                     seed,
                     &asf_harness::scale::CORES_GRID,
                     &asf_harness::scale::THREADS_GRID,
-                    checkpoint.as_mut(),
                 )
                 .unwrap_or_else(|e| {
                     eprintln!("FAIL: {e}");
@@ -393,19 +352,15 @@ fn main() {
                         eprintln!("wrote {path} — open in chrome://tracing or Perfetto");
                     }
                 }
-                // Append this sweep as a round of the scale_rounds section.
-                let old_json = std::fs::read_to_string("BENCH_perf.json").unwrap_or_default();
-                let entry = asf_harness::scale::scale_round_entry(
-                    &report,
-                    asf_harness::scale::next_scale_round(&old_json),
-                    &git_subject(),
-                );
-                std::fs::write(
-                    "BENCH_perf.json",
-                    asf_harness::scale::append_scale_round(&old_json, &entry),
-                )
-                .expect("write BENCH_perf.json");
-                eprintln!("appended scale round to BENCH_perf.json");
+                // Append this sweep as a round of the scale_rounds array.
+                let round = asf_harness::perf::update_report_file("BENCH_perf.json", |doc| {
+                    report.write_into(doc, &git_subject())
+                })
+                .unwrap_or_else(|e| {
+                    eprintln!("FAIL: {e}");
+                    std::process::exit(1);
+                });
+                eprintln!("appended scale round {round} to BENCH_perf.json");
             }
             "serve" => {
                 // Content-addressed simulation service (DESIGN.md §16).
@@ -458,7 +413,7 @@ fn main() {
             "loadtest" => {
                 // Hammer a private server with concurrent in-process
                 // clients over a Zipf-skewed job mix; append the round to
-                // BENCH_perf.json's serve_rounds section.
+                // BENCH_perf.json's serve_rounds array.
                 let opts = asf_harness::serve::loadtest_opts(clients, scale, seed);
                 eprintln!(
                     "serve loadtest: {} clients x {} requests over {} distinct specs \
@@ -478,19 +433,14 @@ fn main() {
                         asf_harness::serve::SPEEDUP_FLOOR
                     );
                 }
-                let old_json = std::fs::read_to_string("BENCH_perf.json").unwrap_or_default();
-                let entry = asf_harness::serve::serve_round_entry(
-                    &opts,
-                    &report,
-                    asf_harness::serve::next_serve_round(&old_json),
-                    &git_subject(),
-                );
-                std::fs::write(
-                    "BENCH_perf.json",
-                    asf_harness::serve::append_serve_round(&old_json, &entry),
-                )
-                .expect("write BENCH_perf.json");
-                eprintln!("appended serve round to BENCH_perf.json");
+                let round = asf_harness::perf::update_report_file("BENCH_perf.json", |doc| {
+                    asf_harness::serve::write_round(doc, &opts, &report, &git_subject())
+                })
+                .unwrap_or_else(|e| {
+                    eprintln!("FAIL: {e}");
+                    std::process::exit(1);
+                });
+                eprintln!("appended serve round {round} to BENCH_perf.json");
             }
             "chaos" => {
                 // Self-healing soak (DESIGN.md §17): drive a live server
@@ -681,11 +631,8 @@ fn main() {
         if !failed.is_empty() {
             any_failed = true;
             eprintln!("{} matrix cell(s) failed (tables show partial results):", failed.len());
-            for (key, error, attempts) in &failed {
-                eprintln!(
-                    "  {}/{} after {attempts} attempt(s): {error}",
-                    key.bench, key.detector
-                );
+            for (key, error) in &failed {
+                eprintln!("  {}/{}: {error}", key.bench, key.detector);
             }
         }
     }

@@ -20,14 +20,9 @@ use asf_stats::json::{self, JsonValue};
 use asf_stats::openmetrics::{parse_exposition, Exposition};
 use asf_stats::table::Table;
 
-/// Any JSON number as `f64` (the dumb scanners keep integers exact; the
-/// dashboard only renders).
+/// Any JSON number as `f64`, whether it parsed as `Int` or `Num`.
 fn num(v: &JsonValue) -> Option<f64> {
-    match v {
-        JsonValue::Int(n) => Some(*n as f64),
-        JsonValue::Num(f) => Some(*f),
-        _ => None,
-    }
+    v.as_f64().ok()
 }
 
 /// Signed percent change `prev → cur`, rendered with its sign.
@@ -350,6 +345,12 @@ pub fn online(addr: &str, iterations: usize, interval_ms: u64) -> Result<String,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::tests::tiny_report;
+    use crate::perf::{check_against_baseline, parse_report, render_report};
+    use crate::scale::tests::tiny_scale_report;
+    use crate::serve::tests::fake_report;
+    use crate::serve::{loadtest_opts, write_round};
+    use asf_workloads::Scale;
 
     const FIXTURE: &str = r#"{
   "total_wall_ms": 100.0,
@@ -405,12 +406,66 @@ mod tests {
     #[test]
     fn committed_bench_report_drives_the_offline_dash() {
         // The checked-in BENCH_perf.json doubles as the CI fixture for
-        // `asf-repro dash --offline`; keep it renderable.
+        // `asf-repro dash --offline`; keep it renderable, and keep it
+        // intact through every writer of the file.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
         let json = std::fs::read_to_string(path).expect("committed BENCH_perf.json");
         let out = offline(&json).expect("offline dashboard over committed report");
         assert!(out.contains("perf"), "{out}");
         assert!(out.contains("serve"), "{out}");
+
+        // Rendering alone changes nothing the parser can see.
+        let before = parse_report(&json).expect("committed report parses");
+        assert_eq!(parse_report(&render_report(&before)).unwrap(), before);
+        // Rewrite it the way `perf`, `scale` and `loadtest` do.
+        let mut doc = before.clone();
+        tiny_report(4, 10_000).write_into(&mut doc, "rewrite check");
+        tiny_scale_report().write_into(&mut doc, "rewrite check");
+        let opts = loadtest_opts(128, Scale::Small, 7);
+        write_round(&mut doc, &opts, &fake_report(), "rewrite check");
+        let rewritten = render_report(&doc);
+        let after = parse_report(&rewritten).unwrap();
+        // Every round already recorded, and every key no writer owns,
+        // parses equal; each round array gained exactly one entry.
+        let JsonValue::Obj(pairs) = &before else { panic!("report is an object") };
+        for (key, old) in pairs {
+            let new = after.field(key).unwrap();
+            match key.as_str() {
+                "scale" | "seed" | "cells" | "total_wall_ms" | "total_accesses"
+                | "total_accesses_per_sec" => {}
+                "history" | "scale_rounds" | "serve_rounds" => {
+                    let (old, new) = (old.as_arr().unwrap(), new.as_arr().unwrap());
+                    assert_eq!(new.len(), old.len() + 1, "{key}");
+                    assert_eq!(&new[..old.len()], old, "{key}");
+                }
+                _ => assert_eq!(new, old, "{key}"),
+            }
+        }
+        // The dashboard shows the same rows, plus one per new round.
+        let rows = |j: &str| trajectory_table(j).unwrap().rows().to_vec();
+        let (old_rows, new_rows) = (rows(&json), rows(&rewritten));
+        let kept: Vec<_> = new_rows.iter().filter(|r| r[5] != "rewrite check").cloned().collect();
+        assert_eq!(kept, old_rows);
+        assert_eq!(new_rows.len(), old_rows.len() + 3);
+    }
+
+    #[test]
+    fn git_subjects_are_stored_verbatim_by_every_writer() {
+        const SUBJECT: &str = r#"Fix "quoted" \ path [v2]"#;
+        let mut doc = parse_report("").unwrap();
+        tiny_report(10, 10_000).write_into(&mut doc, SUBJECT);
+        tiny_scale_report().write_into(&mut doc, SUBJECT);
+        write_round(&mut doc, &loadtest_opts(128, Scale::Small, 7), &fake_report(), SUBJECT);
+        let json = render_report(&doc);
+        let parsed = parse_report(&json).unwrap();
+        for key in ["history", "scale_rounds", "serve_rounds"] {
+            let last = parsed.field(key).unwrap().as_arr().unwrap().last().unwrap();
+            assert_eq!(last.field("git_subject").unwrap().as_str(), Ok(SUBJECT), "{key}");
+        }
+        let msg = check_against_baseline(&tiny_report(10, 10_000), &json, 0.25).unwrap();
+        assert!(msg.contains(&format!("vs round 1 ({SUBJECT})")), "{msg}");
+        let out = offline(&json).unwrap();
+        assert_eq!(out.matches(SUBJECT).count(), 3, "one trajectory row per writer: {out}");
     }
 
     #[test]

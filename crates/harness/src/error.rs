@@ -2,10 +2,10 @@
 //!
 //! Every way an experiment run can go wrong, as a value instead of a
 //! `panic!`: unknown benchmark names, cells missing from a matrix, cells
-//! whose worker job failed (panic or watchdog), unreadable checkpoints, and
-//! forward-progress violations found by the `faults` experiment. The
-//! `asf-repro` binary renders these as one-line messages and a non-zero
-//! exit code; tests match on the variants.
+//! whose worker job failed (panic or watchdog), shard runs that diverged
+//! across thread counts, and forward-progress violations found by the
+//! `faults` experiment. The `asf-repro` binary renders these as one-line
+//! messages and a non-zero exit code; tests match on the variants.
 
 use std::fmt;
 
@@ -21,8 +21,8 @@ pub enum HarnessError {
         /// Detector label.
         detector: String,
     },
-    /// A cell whose job failed even after retries; the matrix holds the
-    /// failure instead of stats so sibling cells still render.
+    /// A cell whose job failed (panic or simulation error); the matrix
+    /// holds the failure instead of stats so sibling cells still render.
     FailedCell {
         /// Benchmark name.
         bench: String,
@@ -31,8 +31,6 @@ pub enum HarnessError {
         /// Rendered cause (panic payload or simulation error).
         error: String,
     },
-    /// A checkpoint file could not be read, parsed, or written.
-    Checkpoint(String),
     /// A shard-parallel run diverged from its sequential reference — the
     /// worker-thread count leaked into simulated state, which the engine
     /// guarantees never happens.
@@ -54,7 +52,6 @@ impl fmt::Display for HarnessError {
             HarnessError::FailedCell { bench, detector, error } => {
                 write!(f, "run ({bench}, {detector}) failed: {error}")
             }
-            HarnessError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
             HarnessError::Determinism(msg) => write!(f, "determinism violation: {msg}"),
             HarnessError::ProgressViolation(msg) => {
                 write!(f, "forward-progress violation: {msg}")

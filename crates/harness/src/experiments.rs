@@ -23,7 +23,7 @@ pub const REPRESENTATIVE: [&str; 4] = ["vacation", "genome", "kmeans", "intruder
 
 /// Render a missing/failed matrix cell as a placeholder row so the rest of
 /// the table still carries data — the partial-results contract of the
-/// crash-safe harness — and attach the failure cause(s) as table notes, so
+/// panic-tolerant matrix — and attach the failure cause(s) as table notes, so
 /// CSV/JSON outputs are self-describing instead of bare `failed` cells.
 fn failed_row(t: &mut Table, m: &Matrix, bench: &str, cols: usize) {
     failed_row_labeled(t, m, bench, bench, cols);
@@ -35,12 +35,9 @@ fn failed_row_labeled(t: &mut Table, m: &Matrix, bench: &str, label: &str, cols:
     let mut row = vec![label.to_string()];
     row.resize(cols, "failed".to_string());
     t.row(row);
-    for (key, error, attempts) in m.failed_cells() {
+    for (key, error) in m.failed_cells() {
         if key.bench == bench {
-            t.note(format!(
-                "{}/{} failed after {attempts} attempt(s): {error}",
-                key.bench, key.detector
-            ));
+            t.note(format!("{}/{} failed: {error}", key.bench, key.detector));
         }
     }
 }

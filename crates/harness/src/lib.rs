@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod checkpoint;
 pub mod dash;
 pub mod error;
 pub mod experiments;
@@ -22,9 +21,7 @@ pub mod matrix;
 pub mod observe;
 pub mod perf;
 pub mod scale;
-pub mod section;
 pub mod serve;
 
-pub use checkpoint::Checkpoint;
 pub use error::HarnessError;
 pub use matrix::{ComputeOpts, InjectPanic, JobOutcome, Matrix, RunKey};

@@ -1,14 +1,12 @@
 //! The (benchmark × detector) grid of simulation runs.
 //!
 //! Grid jobs run on a worker pool under `catch_unwind`: a panicking or
-//! erroring job is retried per [`ComputeOpts::retries`] and, if it still
-//! fails, becomes a [`JobOutcome::Failed`] cell — the rest of the grid
-//! completes and tables render partial results around the hole. Completed
-//! jobs can be checkpointed to JSON ([`crate::checkpoint::Checkpoint`])
-//! after each job, so an interrupted run resumes with `--resume` paying
-//! only for the jobs it had not finished.
+//! erroring job becomes a [`JobOutcome::Failed`] cell, the rest of the grid
+//! completes, and tables render partial results around the hole. A job is
+//! never retried — the simulation is deterministic, so a job that failed
+//! once fails again — and nothing is checkpointed: the paper grid reruns
+//! from scratch in seconds.
 
-use crate::checkpoint::{job_key, Checkpoint};
 use crate::error::HarnessError;
 use asf_core::detector::DetectorKind;
 use asf_machine::machine::{Machine, SimConfig};
@@ -41,12 +39,10 @@ pub enum JobOutcome {
     /// All of the cell's per-seed jobs completed; stats are merged.
     /// Boxed: `RunStats` is ~1 KiB and would dwarf the `Failed` variant.
     Completed(Box<RunStats>),
-    /// At least one job failed even after retries.
+    /// At least one job failed.
     Failed {
         /// Rendered cause (panic payload or simulation error).
         error: String,
-        /// Total attempts spent on the failing job.
-        attempts: u32,
     },
 }
 
@@ -56,32 +52,19 @@ pub struct ComputeOpts {
     /// Worker-pool size (`None` = resolve from `--threads` / `ASF_THREADS`
     /// / available parallelism).
     pub workers: Option<usize>,
-    /// Extra attempts per job after its first failure (so `1` = try twice).
-    pub retries: u32,
-    /// Optional step budget overriding [`SimConfig::paper_seeded`]'s
-    /// default — a per-job watchdog so one runaway simulation cannot hang
-    /// the grid.
-    pub max_steps: Option<u64>,
-    /// Checkpoint to resume from and record into. Jobs present in it are
-    /// not re-run; every newly completed job is recorded and persisted.
-    pub checkpoint: Option<Checkpoint>,
-    /// Test hook: panic the first [`InjectPanic::times`] executions of each
-    /// job of cell `(bench, detector)` — exercised by the crash-safety
-    /// tests. `times ≤ retries` means the cell recovers; `times > retries`
-    /// means it fails.
+    /// Test hook: panic every job of one cell, to exercise the
+    /// failed-cell path.
     pub inject_panic: Option<InjectPanic>,
 }
 
-/// Deterministic worker-panic injection (test hook).
+/// Deterministic worker-panic injection (test hook): every job of cell
+/// `(bench, detector)` panics before it simulates.
 #[derive(Clone, Debug)]
 pub struct InjectPanic {
     /// Benchmark name of the targeted cell.
     pub bench: String,
     /// Detector label of the targeted cell.
     pub detector: String,
-    /// Number of executions of each of the cell's jobs that panic before
-    /// the job starts succeeding.
-    pub times: u32,
 }
 
 /// A computed grid of runs plus the configuration that produced it.
@@ -90,15 +73,6 @@ pub struct Matrix {
     pub scale: Scale,
     /// Master seeds (each run aggregates all of them).
     pub seeds: Vec<u64>,
-    /// Jobs actually executed by this compute (not resumed from a
-    /// checkpoint) — the crash-safety tests read this to prove a resume
-    /// re-runs only what was missing.
-    pub jobs_run: usize,
-    /// Jobs satisfied from the checkpoint instead of being executed.
-    pub jobs_resumed: usize,
-    /// The checkpoint after compute (recorded jobs included), when one was
-    /// passed in via [`ComputeOpts::checkpoint`].
-    pub checkpoint: Option<Checkpoint>,
     runs: FxHashMap<RunKey, JobOutcome>,
 }
 
@@ -110,24 +84,9 @@ pub fn run_one(
     scale: Scale,
     seed: u64,
 ) -> Result<RunStats, HarnessError> {
-    run_one_budgeted(bench, detector, scale, seed, None)
-}
-
-/// [`run_one`] with an optional step-budget override.
-pub fn run_one_budgeted(
-    bench: &str,
-    detector: DetectorKind,
-    scale: Scale,
-    seed: u64,
-    max_steps: Option<u64>,
-) -> Result<RunStats, HarnessError> {
     let workload = asf_workloads::by_name(bench, scale)
         .ok_or_else(|| HarnessError::UnknownBenchmark(bench.to_string()))?;
-    let mut cfg = SimConfig::paper_seeded(detector, seed);
-    if let Some(steps) = max_steps {
-        cfg.max_steps = steps;
-    }
-    Machine::try_run(workload.as_ref(), cfg)
+    Machine::try_run(workload.as_ref(), SimConfig::paper_seeded(detector, seed))
         .map(|out| out.stats)
         .map_err(|e| HarnessError::FailedCell {
             bench: bench.to_string(),
@@ -172,52 +131,35 @@ fn resolve_workers(explicit: Option<usize>, jobs: usize) -> usize {
     n.max(1).min(jobs.max(1))
 }
 
-/// One job's end state inside the worker pool.
-enum JobResult {
-    Ran(RunStats),
-    Resumed(RunStats),
-    Failed { error: String, attempts: u32 },
-}
-
-/// Execute one job under `catch_unwind`, with retries. The panic hook is
-/// left in place (a crashing worker should still say so on stderr); the
-/// payload is folded into the returned error string.
+/// Execute one job under `catch_unwind`. The panic hook is left in place
+/// (a crashing worker should still say so on stderr); the payload is
+/// folded into the returned error string.
 fn run_job(
     bench: &str,
     detector: DetectorKind,
     scale: Scale,
     seed: u64,
-    opts: &ComputeOpts,
-    injections_left: &AtomicUsize,
-) -> JobResult {
-    let attempts_max = 1 + opts.retries;
-    let mut last_error = String::new();
-    for _ in 0..attempts_max {
-        // The closure only reads shared state; a panic cannot leave it
-        // torn, so asserting unwind safety is sound.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if injections_left
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok()
-            {
-                panic!("injected worker panic (test hook)");
-            }
-            run_one_budgeted(bench, detector, scale, seed, opts.max_steps)
-        }));
-        match result {
-            Ok(Ok(stats)) => return JobResult::Ran(stats),
-            Ok(Err(e)) => last_error = e.to_string(),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".to_string());
-                last_error = format!("panic: {msg}");
-            }
+    inject_panic: bool,
+) -> Result<RunStats, String> {
+    // The closure only reads shared state; a panic cannot leave it torn,
+    // so asserting unwind safety is sound.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if inject_panic {
+            panic!("injected worker panic (test hook)");
+        }
+        run_one(bench, detector, scale, seed)
+    }));
+    match result {
+        Ok(stats) => stats.map_err(|e| e.to_string()),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_string());
+            Err(format!("panic: {msg}"))
         }
     }
-    JobResult::Failed { error: last_error, attempts: attempts_max }
 }
 
 impl Matrix {
@@ -258,15 +200,15 @@ impl Matrix {
         )
     }
 
-    /// The fully-general compute: worker pool, per-job `catch_unwind` with
-    /// retries and step budget, failed cells kept as [`JobOutcome::Failed`]
-    /// and the rest of the grid intact, checkpoint resume/record.
+    /// The fully-general compute: worker pool, per-job `catch_unwind`,
+    /// failed cells kept as [`JobOutcome::Failed`] and the rest of the
+    /// grid intact.
     pub fn compute_opts(
         benches: &[&str],
         detectors: &[DetectorKind],
         scale: Scale,
         seeds: &[u64],
-        mut opts: ComputeOpts,
+        opts: ComputeOpts,
     ) -> Matrix {
         assert!(!seeds.is_empty(), "need at least one seed");
         let mut jobs: Vec<(RunKey, DetectorKind, String, u64)> = Vec::new();
@@ -278,31 +220,20 @@ impl Matrix {
             }
         }
         let workers = resolve_workers(opts.workers, jobs.len());
-        // The injection budget is global and decremented atomically, so the
-        // targeted cell panics exactly `times` times across all its
-        // attempts no matter how jobs land on workers.
-        let injection_budget = |key: &RunKey| -> usize {
-            match &opts.inject_panic {
-                Some(p) if p.bench == key.bench && p.detector == key.detector => {
-                    p.times as usize
-                }
-                _ => 0,
-            }
+        let injected = |key: &RunKey| {
+            opts.inject_panic
+                .as_ref()
+                .is_some_and(|p| p.bench == key.bench && p.detector == key.detector)
         };
-        let budgets: Vec<AtomicUsize> =
-            jobs.iter().map(|(key, ..)| AtomicUsize::new(injection_budget(key))).collect();
-        let checkpoint = opts.checkpoint.take().map(Mutex::new);
         let jobs_ref = &jobs;
-        let budgets_ref = &budgets;
-        let opts_ref = &opts;
-        let checkpoint_ref = &checkpoint;
+        let injected_ref = &injected;
         let next = AtomicUsize::new(0);
         let next_ref = &next;
         // Each job writes its pre-assigned slot, so aggregation below runs
         // in job order no matter which worker finishes first — the merged
         // stats (notably series/histogram contents) are identical across
         // runs and across worker counts.
-        let slots: Vec<Mutex<Option<JobResult>>> =
+        let slots: Vec<Mutex<Option<Result<RunStats, String>>>> =
             (0..jobs.len()).map(|_| Mutex::new(None)).collect();
         let slots_ref = &slots;
         std::thread::scope(|s| {
@@ -313,47 +244,19 @@ impl Matrix {
                         break;
                     }
                     let (key, det, bench, seed) = &jobs_ref[i];
-                    let ckpt_key = job_key(bench, &key.detector, *seed);
-                    if let Some(cp) = checkpoint_ref {
-                        let hit = cp.lock().unwrap().get(&ckpt_key).cloned();
-                        if let Some(stats) = hit {
-                            *slots_ref[i].lock().unwrap() = Some(JobResult::Resumed(stats));
-                            continue;
-                        }
-                    }
-                    let result =
-                        run_job(bench, *det, scale, *seed, opts_ref, &budgets_ref[i]);
-                    if let (Some(cp), JobResult::Ran(stats)) = (checkpoint_ref, &result) {
-                        // Failed jobs are deliberately *not* recorded: a
-                        // resume retries exactly the cells that failed.
-                        let mut cp = cp.lock().unwrap();
-                        if let Err(e) = cp.record(ckpt_key, stats.clone()) {
-                            eprintln!("warning: {e}");
-                        }
-                    }
+                    let result = run_job(bench, *det, scale, *seed, injected_ref(key));
                     *slots_ref[i].lock().unwrap() = Some(result);
                 });
             }
         });
         let mut runs: FxHashMap<RunKey, JobOutcome> = FxHashMap::default();
-        let mut jobs_run = 0;
-        let mut jobs_resumed = 0;
         for ((key, ..), slot) in jobs.iter().zip(slots) {
-            let result = slot.into_inner().unwrap().expect("every job ran");
-            let stats = match result {
-                JobResult::Ran(stats) => {
-                    jobs_run += 1;
-                    stats
-                }
-                JobResult::Resumed(stats) => {
-                    jobs_resumed += 1;
-                    stats
-                }
-                JobResult::Failed { error, attempts } => {
-                    jobs_run += 1;
+            let stats = match slot.into_inner().unwrap().expect("every job ran") {
+                Ok(stats) => stats,
+                Err(error) => {
                     // One failed seed poisons the cell (a partial-seed
                     // aggregate would silently change the averaging).
-                    runs.insert(key.clone(), JobOutcome::Failed { error, attempts });
+                    runs.insert(key.clone(), JobOutcome::Failed { error });
                     continue;
                 }
             };
@@ -368,34 +271,15 @@ impl Matrix {
                 }
             }
         }
-        Matrix {
-            scale,
-            seeds: seeds.to_vec(),
-            jobs_run,
-            jobs_resumed,
-            checkpoint: checkpoint.map(|cp| cp.into_inner().unwrap()),
-            runs,
-        }
+        Matrix { scale, seeds: seeds.to_vec(), runs }
     }
 
     /// The standard grid behind Figures 1, 2, 8, 9, 10: all ten benchmarks
     /// under baseline, sb2/4/8/16 and perfect, aggregated over three seeds
     /// derived from `seed`.
     pub fn paper_grid(scale: Scale, seed: u64) -> Matrix {
-        Matrix::paper_grid_opts(scale, seed, ComputeOpts::default())
-    }
-
-    /// [`Matrix::paper_grid`] with explicit [`ComputeOpts`] (retries,
-    /// checkpoint resume, …) — what `asf-repro --checkpoint/--resume` uses.
-    pub fn paper_grid_opts(scale: Scale, seed: u64, opts: ComputeOpts) -> Matrix {
         let seeds = [seed, seed.wrapping_add(1), seed.wrapping_add(2)];
-        Matrix::compute_opts(
-            &asf_workloads::names(scale),
-            &DetectorKind::paper_set(),
-            scale,
-            &seeds,
-            opts,
-        )
+        Matrix::compute(&asf_workloads::names(scale), &DetectorKind::paper_set(), scale, &seeds)
     }
 
     /// Look up one run's stats; `Err` for cells that are missing from the
@@ -421,16 +305,13 @@ impl Matrix {
         self.get(bench, detector).ok()
     }
 
-    /// Every failed cell as `(key, error, attempts)`, sorted for stable
-    /// reporting.
-    pub fn failed_cells(&self) -> Vec<(RunKey, String, u32)> {
-        let mut out: Vec<(RunKey, String, u32)> = self
+    /// Every failed cell as `(key, error)`, sorted for stable reporting.
+    pub fn failed_cells(&self) -> Vec<(RunKey, String)> {
+        let mut out: Vec<(RunKey, String)> = self
             .runs
             .iter()
             .filter_map(|(k, v)| match v {
-                JobOutcome::Failed { error, attempts } => {
-                    Some((k.clone(), error.clone(), *attempts))
-                }
+                JobOutcome::Failed { error } => Some((k.clone(), error.clone())),
                 JobOutcome::Completed(_) => None,
             })
             .collect();
@@ -485,8 +366,6 @@ mod tests {
             m.get("intruder", DetectorKind::Perfect),
             Err(HarnessError::MissingCell { .. })
         ));
-        assert_eq!(m.jobs_run, 8);
-        assert_eq!(m.jobs_resumed, 0);
         assert!(m.failed_cells().is_empty());
     }
 

@@ -18,11 +18,21 @@
 //! writes it to `BENCH_perf.json` (repo root in CI) and EXPERIMENTS.md
 //! records the baselines. Simulated *outcomes* are pinned separately by
 //! `tests/golden_stats.rs`; this file only measures speed.
+//!
+//! `BENCH_perf.json` has one reader and one writer path, shared by every
+//! command that records a round in it: [`update_report_file`] parses the
+//! file with `asf_stats::json`, lets the command change its own keys (the
+//! perf grid's fields and `history` here, `scale_rounds` in
+//! [`crate::scale`], `serve_rounds` in [`crate::serve`]) and renders the
+//! document back through one atomic write. Every other key survives as
+//! parsed, and strings such as git subjects are stored verbatim.
 
 use crate::matrix::run_one;
 use asf_core::detector::DetectorKind;
+use asf_stats::json::{parse, JsonValue};
 use asf_stats::table::Table;
 use asf_workloads::Scale;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// The fixed detector set of the smoke grid: line granularity, the paper's
@@ -190,77 +200,120 @@ impl PerfReport {
         t
     }
 
-    /// Machine-readable report (hand-rolled JSON — dependency policy):
-    /// per-cell detail plus grid totals.
+    /// The grid's own top-level fields of `BENCH_perf.json`, in file order.
+    fn fields(&self) -> [(&'static str, JsonValue); 6] {
+        let ms = |d: Duration| JsonValue::rounded(d.as_secs_f64() * 1e3, 3);
+        let per_sec = |acc: u64, wall: Duration| JsonValue::Int(rate(acc, wall).round() as u64);
+        let cells = self
+            .cells
+            .iter()
+            .map(|c| {
+                JsonValue::obj([
+                    ("bench", c.bench.as_str().into()),
+                    ("detector", c.detector.as_str().into()),
+                    ("wall_ms", ms(c.wall)),
+                    ("wall_min_ms", ms(c.wall_min)),
+                    ("accesses", c.accesses.into()),
+                    ("cycles", c.cycles.into()),
+                    ("accesses_per_sec", per_sec(c.accesses, c.wall)),
+                ])
+            })
+            .collect();
+        [
+            ("scale", format!("{:?}", self.scale).as_str().into()),
+            ("seed", self.seed.into()),
+            ("cells", JsonValue::Arr(cells)),
+            ("total_wall_ms", ms(self.total_wall())),
+            ("total_accesses", self.total_accesses().into()),
+            ("total_accesses_per_sec", per_sec(self.total_accesses(), self.total_wall())),
+        ]
+    }
+
+    /// Machine-readable report: per-cell detail plus grid totals, as a
+    /// standalone document (no history, no round sections).
     pub fn to_json(&self) -> String {
-        self.render(&[])
+        render_report(&JsonValue::obj(self.fields()))
     }
 
-    /// [`PerfReport::to_json`] with the append-only round history attached
-    /// (omitted entirely when `history` is empty, keeping the original
-    /// shape). The history array is emitted *after* the top-level
-    /// `total_wall_ms` so [`parse_baseline`]'s first-occurrence scan keeps
-    /// finding the grid total, not a history entry's.
-    pub fn to_json_with_history(&self, history: &[HistoryEntry]) -> String {
-        self.render(history)
-    }
-
-    fn render(&self, history: &[HistoryEntry]) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"bench\": \"{}\", \"detector\": \"{}\", \
-                 \"wall_ms\": {:.3}, \"wall_min_ms\": {:.3}, \
-                 \"accesses\": {}, \"cycles\": {}, \
-                 \"accesses_per_sec\": {:.0}}}",
-                c.bench,
-                c.detector,
-                c.wall.as_secs_f64() * 1e3,
-                c.wall_min.as_secs_f64() * 1e3,
-                c.accesses,
-                c.cycles,
-                rate(c.accesses, c.wall),
-            ));
+    /// Record this run in a `BENCH_perf.json` document: replace the grid's
+    /// own fields, append a `history` round stamped with `git_subject`,
+    /// and leave every other key as it was. Returns the round number.
+    pub fn write_into(&self, doc: &mut JsonValue, git_subject: &str) -> u64 {
+        for (key, value) in self.fields() {
+            doc.set(key, value);
         }
-        out.push_str("\n  ],\n");
-        out.push_str(&format!(
-            "  \"total_wall_ms\": {:.3},\n  \"total_accesses\": {},\n  \
-             \"total_accesses_per_sec\": {:.0}",
-            self.total_wall().as_secs_f64() * 1e3,
-            self.total_accesses(),
-            rate(self.total_accesses(), self.total_wall()),
-        ));
-        if !history.is_empty() {
-            out.push_str(",\n  \"history\": [");
-            for (i, h) in history.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"round\": {}, \"git_subject\": \"{}\", \"total_wall_ms\": {:.3}}}",
-                    h.round,
-                    sanitize_subject(&h.git_subject),
-                    h.total_wall_ms,
-                ));
-            }
-            out.push_str("\n  ]");
-        }
-        out.push_str("\n}\n");
-        out
+        let total_wall_ms = self.total_wall().as_secs_f64() * 1e3;
+        append_round(doc, "history", |round| {
+            JsonValue::obj([
+                ("round", round.into()),
+                ("git_subject", git_subject.into()),
+                ("total_wall_ms", JsonValue::rounded(total_wall_ms, 3)),
+            ])
+        })
     }
 }
 
-/// Commit subjects are narrative, not data: swap the two characters the
-/// hand-rolled scanner cannot round-trip (quote, backslash) for plain
-/// lookalikes instead of escaping, keeping [`parse_history`] a dumb scan.
-fn sanitize_subject(s: &str) -> String {
-    s.replace(['\\', '"'], "'")
+/// Parse a `BENCH_perf.json` document. Empty text is an empty document
+/// (nothing recorded yet); anything else must be a JSON object.
+pub fn parse_report(text: &str) -> Result<JsonValue, String> {
+    if text.trim().is_empty() {
+        return Ok(JsonValue::Obj(Vec::new()));
+    }
+    match parse(text)? {
+        doc @ JsonValue::Obj(_) => Ok(doc),
+        _ => Err("not a JSON object".to_string()),
+    }
+}
+
+/// Render a report document in its committed layout: one top-level member
+/// per line, and one entry per line in each top-level array.
+pub fn render_report(doc: &JsonValue) -> String {
+    format!("{}\n", doc.render(2))
+}
+
+/// Read the report at `path` (a missing file reads as empty), let `edit`
+/// change its own keys, and replace the file with one atomic write.
+/// Returns what `edit` returns. A file that does not parse is an error,
+/// never overwritten.
+pub fn update_report_file<T>(
+    path: impl AsRef<Path>,
+    edit: impl FnOnce(&mut JsonValue) -> T,
+) -> Result<T, String> {
+    let path = path.as_ref();
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(format!("read {}: {e}", path.display())),
+    };
+    let mut doc =
+        parse_report(&text).map_err(|e| format!("{} does not parse: {e}", path.display()))?;
+    let out = edit(&mut doc);
+    asf_stats::atomic_write(path, render_report(&doc))
+        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    Ok(out)
+}
+
+/// The number the next round appended to the top-level array `key` should
+/// carry: one past its last entry's `round`, or 1.
+pub fn next_round(doc: &JsonValue, key: &str) -> u64 {
+    doc.get(key)
+        .and_then(|rounds| rounds.as_arr().ok()?.last()?.get("round")?.as_u64().ok())
+        .map_or(1, |last| last + 1)
+}
+
+/// Append `entry(round)` to the top-level array `key`, creating it last in
+/// the document when absent, and return the round number.
+pub fn append_round(
+    doc: &mut JsonValue,
+    key: &str,
+    entry: impl FnOnce(u64) -> JsonValue,
+) -> u64 {
+    let round = next_round(doc, key);
+    let mut rounds =
+        doc.get(key).and_then(|v| v.as_arr().ok()).map(<[_]>::to_vec).unwrap_or_default();
+    rounds.push(entry(round));
+    doc.set(key, JsonValue::Arr(rounds));
+    round
 }
 
 /// One round of the append-only perf history carried inside
@@ -278,48 +331,20 @@ pub struct HistoryEntry {
     pub total_wall_ms: f64,
 }
 
-/// The `"history"` array of a `BENCH_perf.json`, oldest round first.
-/// Reports written before the history existed (or with no completed rounds)
-/// parse as empty — absence is not an error.
-pub fn parse_history(json: &str) -> Vec<HistoryEntry> {
-    let mut out = Vec::new();
-    let Some(start) = json.find("\"history\":") else {
-        return out;
-    };
-    // Entries are flat, so the array ends at the first `]`.
-    let Some(len) = json[start..].find(']') else {
-        return out;
-    };
-    let slice = &json[start..start + len];
-    let mut pos = 0;
-    while let Some((round, after)) = json_field(slice, "round", pos) {
-        let Some((git_subject, after)) = json_string(slice, "git_subject", after) else {
-            break;
-        };
-        let Some((total_wall_ms, after)) = json_field(slice, "total_wall_ms", after) else {
-            break;
-        };
-        out.push(HistoryEntry { round: round as u64, git_subject, total_wall_ms });
-        pos = after;
-    }
-    out
-}
-
-/// Extend `prev` (the history carried in the on-disk report being replaced)
-/// with this run as the next round. Rounds number from 1 when there is no
-/// prior history.
-pub fn next_history(
-    prev: &[HistoryEntry],
-    report: &PerfReport,
-    git_subject: &str,
-) -> Vec<HistoryEntry> {
-    let mut out = prev.to_vec();
-    out.push(HistoryEntry {
-        round: prev.last().map_or(1, |h| h.round + 1),
-        git_subject: git_subject.to_string(),
-        total_wall_ms: report.total_wall().as_secs_f64() * 1e3,
-    });
-    out
+/// The `"history"` array of a report, oldest round first. Reports written
+/// before the history existed parse as empty — absence is not an error.
+pub fn history(doc: &JsonValue) -> Vec<HistoryEntry> {
+    let entries = doc.get("history").and_then(|h| h.as_arr().ok()).unwrap_or_default();
+    entries
+        .iter()
+        .filter_map(|e| {
+            Some(HistoryEntry {
+                round: e.get("round")?.as_u64().ok()?,
+                git_subject: e.get("git_subject")?.as_str().ok()?.to_string(),
+                total_wall_ms: e.get("total_wall_ms")?.as_f64().ok()?,
+            })
+        })
+        .collect()
 }
 
 /// What `check_against_baseline` needs from a committed `BENCH_perf.json`:
@@ -337,45 +362,32 @@ pub struct Baseline {
     pub cells: Vec<(String, String, u64)>,
 }
 
-/// First `"key": <value>` after `from` — the entire JSON surface this file
-/// emits is flat enough that a scan beats a parser (dependency policy:
-/// there is none to use).
-fn json_field(s: &str, key: &str, from: usize) -> Option<(f64, usize)> {
-    let pat = format!("\"{key}\":");
-    let at = s[from..].find(&pat)? + from + pat.len();
-    let rest = s[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok().map(|v| (v, at))
-}
-
-/// First `"key": "<string>"` after `from`.
-fn json_string(s: &str, key: &str, from: usize) -> Option<(String, usize)> {
-    let pat = format!("\"{key}\": \"");
-    let at = s[from..].find(&pat)? + from + pat.len();
-    let len = s[at..].find('"')?;
-    Some((s[at..at + len].to_string(), at + len))
-}
-
-/// Parse a `BENCH_perf.json` produced by [`PerfReport::to_json`]. Returns
-/// `None` on any shape surprise (missing field, malformed number).
-pub fn parse_baseline(json: &str) -> Option<Baseline> {
-    let (scale, _) = json_string(json, "scale", 0)?;
-    let (seed, _) = json_field(json, "seed", 0)?;
-    let (total_wall_ms, _) = json_field(json, "total_wall_ms", 0)?;
-    let mut cells = Vec::new();
-    let mut pos = 0;
-    while let Some((bench, after)) = json_string(json, "bench", pos) {
-        let (detector, after) = json_string(json, "detector", after)?;
-        let (cycles, after) = json_field(json, "cycles", after)?;
-        cells.push((bench, detector, cycles as u64));
-        pos = after;
+impl Baseline {
+    /// Read a baseline out of a parsed report; `Err` names the first
+    /// missing or mistyped field.
+    pub fn from_value(doc: &JsonValue) -> Result<Baseline, String> {
+        let cells = doc
+            .field("cells")?
+            .as_arr()?
+            .iter()
+            .map(|c| {
+                Ok((
+                    c.field("bench")?.as_str()?.to_string(),
+                    c.field("detector")?.as_str()?.to_string(),
+                    c.field("cycles")?.as_u64()?,
+                ))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        if cells.is_empty() {
+            return Err("no cells".to_string());
+        }
+        Ok(Baseline {
+            scale: doc.field("scale")?.as_str()?.to_string(),
+            seed: doc.field("seed")?.as_u64()?,
+            total_wall_ms: doc.field("total_wall_ms")?.as_f64()?,
+            cells,
+        })
     }
-    if cells.is_empty() {
-        return None;
-    }
-    Some(Baseline { scale, seed: seed as u64, total_wall_ms, cells })
 }
 
 /// CI regression guard: compare a fresh measurement against the committed
@@ -395,8 +407,10 @@ pub fn check_against_baseline(
     baseline_json: &str,
     tolerance: f64,
 ) -> Result<String, String> {
-    let base = parse_baseline(baseline_json)
-        .ok_or_else(|| "baseline JSON is not a PerfReport".to_string())?;
+    let doc = parse_report(baseline_json)
+        .map_err(|e| format!("baseline JSON does not parse: {e}"))?;
+    let base = Baseline::from_value(&doc)
+        .map_err(|e| format!("baseline JSON is not a PerfReport: {e}"))?;
     let scale = format!("{:?}", report.scale);
     if base.scale != scale {
         return Err(format!(
@@ -444,7 +458,7 @@ pub fn check_against_baseline(
     );
     // The baseline's last history entry is the previous completed round;
     // spell out the round-over-round delta when one exists.
-    if let Some(prev) = parse_history(baseline_json).last() {
+    if let Some(prev) = history(&doc).last() {
         let delta = (wall_ms - prev.total_wall_ms) / prev.total_wall_ms.max(1e-9) * 100.0;
         msg.push_str(&format!(
             "; vs round {} ({}): {:.1} ms -> {wall_ms:.1} ms ({delta:+.1}%)",
@@ -455,7 +469,7 @@ pub fn check_against_baseline(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -496,7 +510,7 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
-    fn tiny_report(wall_ms: u64, cycles: u64) -> PerfReport {
+    pub(crate) fn tiny_report(wall_ms: u64, cycles: u64) -> PerfReport {
         PerfReport {
             scale: Scale::Small,
             seed: 7,
@@ -511,15 +525,19 @@ mod tests {
         }
     }
 
+    fn baseline_of(json: &str) -> Result<Baseline, String> {
+        Baseline::from_value(&parse_report(json)?)
+    }
+
     #[test]
     fn baseline_roundtrips_through_json() {
         let report = tiny_report(4, 10_000);
-        let base = parse_baseline(&report.to_json()).expect("own JSON parses");
+        let base = baseline_of(&report.to_json()).expect("own JSON parses");
         assert_eq!(base.scale, "Small");
         assert_eq!(base.seed, 7);
         assert_eq!(base.cells, vec![("ssca2".into(), "baseline".into(), 10_000)]);
         assert!((base.total_wall_ms - 4.0).abs() < 1e-6);
-        assert_eq!(parse_baseline("{\"not\": \"a report\"}"), None);
+        assert!(baseline_of("{\"not\": \"a report\"}").is_err());
     }
 
     #[test]
@@ -551,36 +569,34 @@ mod tests {
     fn history_roundtrips_and_appends() {
         let report = tiny_report(4, 10_000);
         // No history field at all: parses as empty, not an error.
-        assert_eq!(parse_history(&report.to_json()), vec![]);
+        assert_eq!(history(&parse_report(&report.to_json()).unwrap()), vec![]);
         // Round numbering starts at 1 and the new entry records this run.
-        let h1 = next_history(&[], &report, "flat cache arrays");
+        let mut doc = parse_report("").unwrap();
+        assert_eq!(report.write_into(&mut doc, "flat cache arrays"), 1);
+        let h1 = history(&doc);
         assert_eq!(h1.len(), 1);
         assert_eq!(h1[0].round, 1);
         assert!((h1[0].total_wall_ms - 4.0).abs() < 1e-6);
-        // Carry-forward keeps old rounds verbatim and increments.
+        // A second run keeps the old round verbatim and increments.
         let faster = tiny_report(3, 10_000);
-        let h2 = next_history(&h1, &faster, "calendar \"queue\" run");
-        assert_eq!(h2.len(), 2);
-        assert_eq!(h2[1].round, 2);
-        // Roundtrip through the emitted JSON. Quotes in subjects are
-        // sanitized to apostrophes on emit (the scanner cannot round-trip
-        // escapes), so compare against the sanitized form.
-        let json = faster.to_json_with_history(&h2);
-        let parsed = parse_history(&json);
-        assert_eq!(parsed[0], h2[0]);
-        assert_eq!(parsed[1].git_subject, "calendar 'queue' run");
+        assert_eq!(faster.write_into(&mut doc, "calendar \"queue\" run"), 2);
+        // Roundtrip through the rendered file: the subject comes back
+        // exactly as written, quotes included.
+        let parsed = history(&parse_report(&render_report(&doc)).unwrap());
+        assert_eq!(parsed[0], h1[0]);
+        assert_eq!(parsed[1].git_subject, "calendar \"queue\" run");
         assert_eq!(parsed[1].round, 2);
-        // The top-level total is still what parse_baseline sees, not a
-        // history entry's wall.
-        let base = parse_baseline(&json).expect("report with history parses");
+        // The top-level total is this run's, not a history entry's.
+        let base = baseline_of(&render_report(&doc)).expect("report with history parses");
         assert!((base.total_wall_ms - 3.0).abs() < 1e-6);
     }
 
     #[test]
     fn baseline_check_reports_delta_vs_previous_round() {
         let base_report = tiny_report(10, 10_000);
-        let history = next_history(&[], &base_report, "previous round");
-        let base_json = base_report.to_json_with_history(&history);
+        let mut doc = parse_report("").unwrap();
+        base_report.write_into(&mut doc, "previous round");
+        let base_json = render_report(&doc);
         let msg = check_against_baseline(&tiny_report(5, 10_000), &base_json, 0.25)
             .expect("faster run passes");
         assert!(msg.contains("vs round 1 (previous round)"), "{msg}");
@@ -589,6 +605,47 @@ mod tests {
         let plain = check_against_baseline(&tiny_report(5, 10_000), &base_report.to_json(), 0.25)
             .expect("faster run passes");
         assert!(!plain.contains("vs round"), "{plain}");
+    }
+
+    #[test]
+    fn two_sections_coexist_in_one_document() {
+        let mut doc = parse_report("").unwrap();
+        let entry = |key: &'static str, n: u64| {
+            move |round: u64| JsonValue::obj([("round", round.into()), (key, n.into())])
+        };
+        append_round(&mut doc, "scale_rounds", entry("a", 1));
+        append_round(&mut doc, "serve_rounds", entry("b", 3));
+        append_round(&mut doc, "scale_rounds", entry("a", 2));
+        append_round(&mut doc, "serve_rounds", entry("b", 4));
+        assert_eq!(next_round(&doc, "scale_rounds"), 3);
+        assert_eq!(next_round(&doc, "serve_rounds"), 3);
+        let section = |key: &str| doc.field(key).unwrap().render(0);
+        assert_eq!(section("scale_rounds"), r#"[{"round": 1, "a": 1}, {"round": 2, "a": 2}]"#);
+        assert_eq!(section("serve_rounds"), r#"[{"round": 1, "b": 3}, {"round": 2, "b": 4}]"#);
+        // A perf rewrite replaces only the grid's fields and history; both
+        // sections come through the rendered file unchanged.
+        let before = doc.clone();
+        tiny_report(1, 10_000).write_into(&mut doc, "perf");
+        let after = parse_report(&render_report(&doc)).unwrap();
+        for key in ["scale_rounds", "serve_rounds"] {
+            assert_eq!(after.get(key), before.get(key), "{key}");
+        }
+        assert_eq!(history(&after).len(), 1);
+    }
+
+    #[test]
+    fn unparsable_report_file_is_an_error_not_overwritten() {
+        let path = std::env::temp_dir()
+            .join(format!("asf_perf_report_{}.json", asf_stats::atomic_file::unique_suffix()));
+        std::fs::write(&path, "{ torn").unwrap();
+        let err = update_report_file(&path, |doc| doc.set("x", 1u64.into())).unwrap_err();
+        assert!(err.contains("does not parse"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{ torn");
+        // A missing file starts an empty document.
+        std::fs::remove_file(&path).unwrap();
+        update_report_file(&path, |doc| doc.set("x", 1u64.into())).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\n  \"x\": 1\n}\n");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -613,8 +670,8 @@ mod tests {
         assert!(r.cells.iter().all(|c| c.wall >= c.wall_min));
         let json = r.to_json();
         assert!(json.contains("\"wall_min_ms\""));
-        // The baseline scanner still reads the same shape.
-        let base = parse_baseline(&json).expect("parses");
+        // The baseline reader still reads the same shape.
+        let base = baseline_of(&json).expect("parses");
         assert_eq!(base.cells.len(), r.cells.len());
     }
 }

@@ -8,26 +8,24 @@
 //! produce **bit-identical** `RunStats` — the sweep itself asserts this
 //! (an A/B fence run on every invocation, not only in tests).
 //!
-//! Results append a round to the `"scale_rounds"` section of
-//! `BENCH_perf.json`. The section lives *after* the perf grid's own fields
-//! and uses none of the keys the perf baseline scanner looks for
-//! (`bench`/`detector`/`cycles`/`history`), so the two reports share one
-//! file without either scanner reading the other's numbers. `asf-repro
-//! perf` rewrites the file wholesale; [`carry_scale_rounds`] re-attaches
-//! the section across that rewrite.
+//! Results append a round to the `"scale_rounds"` array of
+//! `BENCH_perf.json` ([`ScaleReport::write_into`], through
+//! [`crate::perf::update_report_file`]); the perf grid and the serve rounds
+//! share the file, and each writer changes only its own keys.
 //!
 //! Honesty note: speedup > 1 needs real host cores. On a 1-vCPU runner the
 //! worker threads time-slice one core and the curve is flat (or slightly
 //! worse, barrier overhead being pure cost) — the numbers report what the
 //! host actually did, never an extrapolation.
 
-use crate::checkpoint::{job_key, Checkpoint};
 use crate::error::HarnessError;
+use crate::perf::append_round;
 use asf_core::detector::DetectorKind;
 use asf_machine::machine::SimConfig;
 use asf_machine::shard::{ShardConfig, ShardEngine, ShardOutput};
 use asf_machine::Workload;
 use asf_stats::chrome::ChromeTraceWriter;
+use asf_stats::json::JsonValue;
 use asf_stats::table::Table;
 use asf_workloads::streaming;
 use std::time::{Duration, Instant};
@@ -47,7 +45,7 @@ pub struct ScaleCell {
     pub cores: usize,
     /// Worker threads that drove the shards.
     pub threads: usize,
-    /// Wall time of the cell (zero when resumed from a checkpoint).
+    /// Wall time of the cell.
     pub wall: Duration,
     /// Simulated accesses (L1 hits + misses).
     pub accesses: u64,
@@ -55,21 +53,16 @@ pub struct ScaleCell {
     pub cycles: u64,
     /// Committed transactions.
     pub txns: u64,
-    /// Epoch barriers resolved (zero when resumed).
+    /// Epoch barriers resolved.
     pub epochs: u64,
-    /// Cross-shard probes delivered (zero when resumed).
+    /// Cross-shard probes delivered.
     pub cross_probes: u64,
-    /// Transactions aborted by cross-shard probes (zero when resumed).
+    /// Transactions aborted by cross-shard probes.
     pub cross_aborts: u64,
-    /// Sharer announcements the inter-cluster directory received (zero
-    /// when resumed).
+    /// Sharer announcements the inter-cluster directory received.
     pub dir_notes: u64,
-    /// Barrier stall fraction (0..1; zero when resumed).
+    /// Barrier stall fraction (0..1).
     pub stall: f64,
-    /// True when the cell's stats came from a checkpoint, not a fresh run.
-    /// Resumed cells still participate in the determinism cross-check but
-    /// carry no timing.
-    pub resumed: bool,
 }
 
 /// A completed scaling sweep.
@@ -81,7 +74,7 @@ pub struct ScaleReport {
     pub seed: u64,
     /// Cells in (cores, threads) grid order.
     pub cells: Vec<ScaleCell>,
-    /// Chrome-trace timelines of the fresh cells:
+    /// Chrome-trace timelines of the cells:
     /// `(artifact name, JSON document)`.
     pub timelines: Vec<(String, String)>,
 }
@@ -112,22 +105,12 @@ pub fn run_cell(
     Ok((out, wall))
 }
 
-/// The checkpoint key of one sweep cell.
-pub fn cell_key(preset: &str, cores: usize, threads: usize, seed: u64) -> String {
-    job_key(&format!("scale_{preset}_c{cores}_t{threads}"), "shard", seed)
-}
-
-/// Sweep `cores_grid × threads_grid` over the named preset. With a
-/// checkpoint, completed cells are recorded as they finish and recorded
-/// cells are skipped on resume (their simulated stats still enter the
-/// determinism cross-check, so a resumed sweep re-verifies fresh runs
-/// against the checkpointed reference).
+/// Sweep `cores_grid × threads_grid` over the named preset.
 pub fn sweep(
     preset_name: &str,
     seed: u64,
     cores_grid: &[usize],
     threads_grid: &[usize],
-    mut checkpoint: Option<&mut Checkpoint>,
 ) -> Result<ScaleReport, HarnessError> {
     let preset = streaming::by_name(preset_name)
         .ok_or_else(|| HarnessError::UnknownBenchmark(format!("streaming preset {preset_name}")))?;
@@ -138,53 +121,27 @@ pub fn sweep(
         // reproduce the first cell's simulated outcome bit-for-bit.
         let mut reference: Option<asf_stats::run::RunStats> = None;
         for &threads in threads_grid {
-            let key = cell_key(preset_name, cores, threads, seed);
-            let recorded =
-                checkpoint.as_deref_mut().and_then(|cp| cp.get(&key).cloned());
-            let (stats, cell) = if let Some(stats) = recorded {
-                let cell = ScaleCell {
-                    cores,
-                    threads,
-                    wall: Duration::ZERO,
-                    accesses: accesses_of(&stats),
-                    cycles: stats.cycles,
-                    txns: stats.tx_committed,
-                    epochs: 0,
-                    cross_probes: 0,
-                    cross_aborts: 0,
-                    dir_notes: 0,
-                    stall: 0.0,
-                    resumed: true,
-                };
-                (stats, cell)
-            } else {
-                let (out, wall) = run_cell(&preset, cores, threads, seed)?;
-                let cell = ScaleCell {
-                    cores,
-                    threads,
-                    wall,
-                    accesses: accesses_of(&out.stats),
-                    cycles: out.stats.cycles,
-                    txns: out.stats.tx_committed,
-                    epochs: out.scale.epochs,
-                    cross_probes: out.scale.cross_probes,
-                    cross_aborts: out.scale.cross_aborts,
-                    dir_notes: out.scale.dir_notes,
-                    stall: out.scale.barrier_stall_fraction(),
-                    resumed: false,
-                };
-                timelines.push((
-                    format!("scale_timeline_{preset_name}_c{cores}_t{threads}"),
-                    timeline_json(&out),
-                ));
-                if let Some(cp) = checkpoint.as_deref_mut() {
-                    cp.record(key, out.stats.clone())?;
-                }
-                (out.stats, cell)
-            };
+            let (out, wall) = run_cell(&preset, cores, threads, seed)?;
+            cells.push(ScaleCell {
+                cores,
+                threads,
+                wall,
+                accesses: accesses_of(&out.stats),
+                cycles: out.stats.cycles,
+                txns: out.stats.tx_committed,
+                epochs: out.scale.epochs,
+                cross_probes: out.scale.cross_probes,
+                cross_aborts: out.scale.cross_aborts,
+                dir_notes: out.scale.dir_notes,
+                stall: out.scale.barrier_stall_fraction(),
+            });
+            timelines.push((
+                format!("scale_timeline_{preset_name}_c{cores}_t{threads}"),
+                timeline_json(&out),
+            ));
             match &reference {
-                None => reference = Some(stats),
-                Some(r) if *r == stats => {}
+                None => reference = Some(out.stats),
+                Some(r) if *r == out.stats => {}
                 Some(_) => {
                     return Err(HarnessError::Determinism(format!(
                         "scale {preset_name} at {cores} cores: {threads} worker thread(s) \
@@ -193,7 +150,6 @@ pub fn sweep(
                     )));
                 }
             }
-            cells.push(cell);
         }
     }
     Ok(ScaleReport { preset: preset_name.to_string(), seed, cells, timelines })
@@ -204,12 +160,16 @@ fn rate(accesses: u64, wall: Duration) -> f64 {
 }
 
 impl ScaleReport {
-    /// The single-threaded wall time at `cores`, if that cell ran fresh.
+    /// The single-threaded wall time at `cores`, if the sweep ran it.
     fn reference_wall(&self, cores: usize) -> Option<Duration> {
-        self.cells
-            .iter()
-            .find(|c| c.cores == cores && c.threads == 1 && !c.resumed)
-            .map(|c| c.wall)
+        self.cells.iter().find(|c| c.cores == cores && c.threads == 1).map(|c| c.wall)
+    }
+
+    /// Append this sweep as the next round of a `BENCH_perf.json`
+    /// document's `"scale_rounds"` array, stamped with `git_subject`;
+    /// every other key is left as it was. Returns the round number.
+    pub fn write_into(&self, doc: &mut JsonValue, git_subject: &str) -> u64 {
+        append_round(doc, "scale_rounds", |round| scale_round_entry(self, round, git_subject))
     }
 
     /// The scaling-curve table: one row per (cores, threads) cell.
@@ -222,27 +182,18 @@ impl ScaleReport {
             ],
         );
         for c in &self.cells {
-            let (wall_ms, macc, speedup) = if c.resumed {
-                ("resumed".to_string(), "-".to_string(), "-".to_string())
-            } else {
-                let speedup = match self.reference_wall(c.cores) {
-                    Some(base) if c.threads > 1 => {
-                        format!("{:.2}x", base.as_secs_f64() / c.wall.as_secs_f64().max(1e-9))
-                    }
-                    _ => "1.00x".to_string(),
-                };
-                (
-                    format!("{:.2}", c.wall.as_secs_f64() * 1e3),
-                    format!("{:.2}", rate(c.accesses, c.wall) / 1e6),
-                    speedup,
-                )
+            let speedup = match self.reference_wall(c.cores) {
+                Some(base) if c.threads > 1 => {
+                    format!("{:.2}x", base.as_secs_f64() / c.wall.as_secs_f64().max(1e-9))
+                }
+                _ => "1.00x".to_string(),
             };
             t.row(vec![
                 c.cores.to_string(),
                 c.threads.to_string(),
                 c.txns.to_string(),
-                wall_ms,
-                macc,
+                format!("{:.2}", c.wall.as_secs_f64() * 1e3),
+                format!("{:.2}", rate(c.accesses, c.wall) / 1e6),
                 speedup,
                 c.epochs.to_string(),
                 format!("{:.1}", c.stall * 100.0),
@@ -342,85 +293,41 @@ pub fn smoke(seed: u64) -> Result<String, HarnessError> {
     ))
 }
 
-// ---------------------------------------------------------------------------
-// The "scale_rounds" section of BENCH_perf.json. The textual-surgery
-// machinery lives in [`crate::section`] (shared with `serve_rounds`);
-// these wrappers keep the scale-specific names callers use.
-// ---------------------------------------------------------------------------
-
-use crate::section;
-
-/// The verbatim `"scale_rounds": [...]` section text, if present.
-pub fn extract_scale_rounds(json: &str) -> Option<&str> {
-    section::extract_section(json, "scale_rounds")
-}
-
-/// The 1-based number the next appended round should carry.
-pub fn next_scale_round(json: &str) -> u64 {
-    section::next_round(json, "scale_rounds")
-}
-
-/// Render one round entry (a flat-enough JSON object) for
-/// [`append_scale_round`].
-pub fn scale_round_entry(report: &ScaleReport, round: u64, git_subject: &str) -> String {
-    let mut out = format!(
-        "{{\"round\": {round}, \"preset\": \"{}\", \"sweep_seed\": {}, \
-         \"git_subject\": \"{}\", \"curve\": [",
-        report.preset,
-        report.seed,
-        section::sanitize(git_subject),
-    );
-    for (i, c) in report.cells.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        if c.resumed {
-            out.push_str(&format!(
-                "{{\"cores\": {}, \"threads\": {}, \"txns\": {}, \"resumed\": true}}",
-                c.cores, c.threads, c.txns
-            ));
-        } else {
-            out.push_str(&format!(
-                "{{\"cores\": {}, \"threads\": {}, \"txns\": {}, \"wall_ms\": {:.3}, \
-                 \"macc_per_sec\": {:.3}, \"epochs\": {}, \"stall_pct\": {:.1}, \
-                 \"cross_probes\": {}, \"cross_aborts\": {}, \"dir_notes\": {}}}",
-                c.cores,
-                c.threads,
-                c.txns,
-                c.wall.as_secs_f64() * 1e3,
-                rate(c.accesses, c.wall) / 1e6,
-                c.epochs,
-                c.stall * 100.0,
-                c.cross_probes,
-                c.cross_aborts,
-                c.dir_notes,
-            ));
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Append one round to the `"scale_rounds"` section of a `BENCH_perf.json`
-/// document, creating the section (or, for an empty/absent file, a minimal
-/// document) as needed. The rest of the document is preserved byte-for-byte.
-pub fn append_scale_round(json: &str, entry: &str) -> String {
-    section::append_round(json, "scale_rounds", entry)
-}
-
-/// Re-attach `old_json`'s `"scale_rounds"` section to a freshly rendered
-/// perf report (`new_json`), which never emits one itself. Returns
-/// `new_json` unchanged when the old document had no section.
-pub fn carry_scale_rounds(old_json: &str, new_json: &str) -> String {
-    section::carry_section(old_json, new_json, "scale_rounds")
+/// One `"scale_rounds"` entry: the sweep's identity plus its curve.
+fn scale_round_entry(report: &ScaleReport, round: u64, git_subject: &str) -> JsonValue {
+    let curve = report
+        .cells
+        .iter()
+        .map(|c| {
+            JsonValue::obj([
+                ("cores", (c.cores as u64).into()),
+                ("threads", (c.threads as u64).into()),
+                ("txns", c.txns.into()),
+                ("wall_ms", JsonValue::rounded(c.wall.as_secs_f64() * 1e3, 3)),
+                ("macc_per_sec", JsonValue::rounded(rate(c.accesses, c.wall) / 1e6, 3)),
+                ("epochs", c.epochs.into()),
+                ("stall_pct", JsonValue::rounded(c.stall * 100.0, 1)),
+                ("cross_probes", c.cross_probes.into()),
+                ("cross_aborts", c.cross_aborts.into()),
+                ("dir_notes", c.dir_notes.into()),
+            ])
+        })
+        .collect();
+    JsonValue::obj([
+        ("round", round.into()),
+        ("preset", report.preset.as_str().into()),
+        ("sweep_seed", report.seed.into()),
+        ("git_subject", git_subject.into()),
+        ("curve", JsonValue::Arr(curve)),
+    ])
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::perf::{parse_baseline, parse_history, PerfCell, PerfReport};
+    use crate::perf::tests::tiny_report;
+    use crate::perf::{history, next_round, parse_report, render_report, Baseline};
     use asf_stats::json::parse;
-    use asf_workloads::Scale;
 
     #[test]
     fn smoke_gate_passes() {
@@ -431,7 +338,7 @@ mod tests {
 
     #[test]
     fn sweep_runs_checks_determinism_and_renders() {
-        let r = sweep("smoke", 0x5ca1e, &[32], &[1, 2], None).expect("sweep");
+        let r = sweep("smoke", 0x5ca1e, &[32], &[1, 2]).expect("sweep");
         assert_eq!(r.cells.len(), 2);
         // Same simulated outcome at both thread counts (the sweep would
         // have erred otherwise); timing differs.
@@ -441,50 +348,17 @@ mod tests {
         assert!(r.cells[0].epochs > 0);
         let t = r.table();
         assert_eq!(t.len(), 2);
-        // One timeline per fresh cell, and it is valid Chrome JSON.
+        // One timeline per cell, and it is valid Chrome JSON.
         assert_eq!(r.timelines.len(), 2);
         let v = parse(&r.timelines[0].1).expect("timeline parses");
         assert!(!v.as_arr().expect("array").is_empty());
     }
 
-    #[test]
-    fn sweep_resumes_from_checkpoint() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("asf_scale_ckpt_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let mut cp = Checkpoint::load_or_new(&path).unwrap();
-        let fresh = sweep("smoke", 3, &[32], &[1], Some(&mut cp)).expect("fresh");
-        assert!(!fresh.cells[0].resumed);
-        // Second sweep over a superset: the recorded cell is skipped (no
-        // wall, no timeline) but still anchors the determinism check that
-        // the fresh 2-thread cell must match.
-        let mut cp = Checkpoint::load_or_new(&path).unwrap();
-        assert_eq!(cp.len(), 1);
-        let again = sweep("smoke", 3, &[32], &[1, 2], Some(&mut cp)).expect("resumed");
-        assert!(again.cells[0].resumed);
-        assert!(!again.cells[1].resumed);
-        assert_eq!(again.cells[0].cycles, again.cells[1].cycles);
-        assert_eq!(again.timelines.len(), 1);
-        let _ = std::fs::remove_file(&path);
+    fn tiny_perf_doc() -> JsonValue {
+        parse_report(&tiny_report(4, 10_000).to_json()).unwrap()
     }
 
-    fn tiny_perf_json() -> String {
-        PerfReport {
-            scale: Scale::Small,
-            seed: 7,
-            cells: vec![PerfCell {
-                bench: "ssca2".into(),
-                detector: "baseline".into(),
-                wall: std::time::Duration::from_millis(4),
-                wall_min: std::time::Duration::from_millis(4),
-                accesses: 2000,
-                cycles: 10_000,
-            }],
-        }
-        .to_json()
-    }
-
-    fn tiny_scale_report() -> ScaleReport {
+    pub(crate) fn tiny_scale_report() -> ScaleReport {
         ScaleReport {
             preset: "mix".into(),
             seed: 9,
@@ -500,7 +374,6 @@ mod tests {
                 cross_aborts: 1,
                 dir_notes: 6,
                 stall: 0.25,
-                resumed: false,
             }],
             timelines: vec![],
         }
@@ -508,46 +381,49 @@ mod tests {
 
     #[test]
     fn scale_rounds_coexist_with_the_perf_scanners() {
-        let perf = tiny_perf_json();
+        let mut doc = tiny_perf_doc();
         let report = tiny_scale_report();
-        assert_eq!(next_scale_round(&perf), 1);
-        let one = append_scale_round(&perf, &scale_round_entry(&report, 1, "first sweep"));
-        // The perf scanners still read the perf grid, not the scale round.
-        let base = parse_baseline(&one).expect("baseline still parses");
+        assert_eq!(next_round(&doc, "scale_rounds"), 1);
+        assert_eq!(report.write_into(&mut doc, "first sweep"), 1);
+        // The perf readers still read the perf grid, not the scale round.
+        let one = parse_report(&render_report(&doc)).unwrap();
+        let base = Baseline::from_value(&one).expect("baseline still parses");
         assert_eq!(base.cells, vec![("ssca2".into(), "baseline".into(), 10_000)]);
         assert!((base.total_wall_ms - 4.0).abs() < 1e-6);
-        assert_eq!(parse_history(&one), vec![]);
+        assert_eq!(history(&one), vec![]);
         // Appending again numbers the next round and keeps both entries.
-        assert_eq!(next_scale_round(&one), 2);
-        let two = append_scale_round(&one, &scale_round_entry(&report, 2, "bad [\"chars\"]"));
-        assert_eq!(next_scale_round(&two), 3);
-        let section = extract_scale_rounds(&two).expect("section present");
-        assert!(section.contains("\"round\": 1") && section.contains("\"round\": 2"));
-        assert!(section.contains("bad ('chars')"), "brackets/quotes sanitized: {section}");
-        assert!(section.contains("\"stall_pct\": 25.0"));
-        // Balanced braces — cheap structural sanity.
-        assert_eq!(two.matches('{').count(), two.matches('}').count());
+        assert_eq!(report.write_into(&mut doc, "bad [\"chars\"] \\"), 2);
+        assert_eq!(next_round(&doc, "scale_rounds"), 3);
+        let two = parse_report(&render_report(&doc)).unwrap();
+        let rounds = two.field("scale_rounds").unwrap().as_arr().unwrap();
+        let field = |i: usize, key: &str| rounds[i].field(key).unwrap().clone();
+        assert_eq!((field(0, "round"), field(1, "round")), (1u64.into(), 2u64.into()));
+        assert_eq!(field(1, "git_subject"), "bad [\"chars\"] \\".into(), "subject kept verbatim");
+        let stall = rounds[1].field("curve").unwrap().as_arr().unwrap()[0].field("stall_pct");
+        assert_eq!(stall.unwrap().as_f64(), Ok(25.0));
     }
 
     #[test]
     fn scale_rounds_survive_a_perf_rewrite() {
-        let old = append_scale_round(&tiny_perf_json(), &scale_round_entry(&tiny_scale_report(), 1, "kept"));
-        // `asf-repro perf` renders a brand-new report (no scale_rounds)…
-        let rewritten = tiny_perf_json();
-        assert!(extract_scale_rounds(&rewritten).is_none());
-        // …and the carry re-attaches the old section verbatim.
-        let carried = carry_scale_rounds(&old, &rewritten);
-        assert_eq!(extract_scale_rounds(&carried), extract_scale_rounds(&old));
-        assert!(parse_baseline(&carried).is_some());
-        // No old section → rewrite passes through untouched.
-        assert_eq!(carry_scale_rounds(&rewritten, &rewritten), rewritten);
+        let mut doc = tiny_perf_doc();
+        tiny_scale_report().write_into(&mut doc, "kept");
+        let old = doc.field("scale_rounds").unwrap().clone();
+        // `asf-repro perf` replaces the grid's fields and history only.
+        tiny_report(3, 10_000).write_into(&mut doc, "perf rewrite");
+        let after = parse_report(&render_report(&doc)).unwrap();
+        assert_eq!(after.field("scale_rounds"), Ok(&old));
+        assert!(Baseline::from_value(&after).is_ok());
+        // A perf rewrite of a document without scale rounds adds none.
+        let mut plain = tiny_perf_doc();
+        tiny_report(3, 10_000).write_into(&mut plain, "perf only");
+        assert!(plain.get("scale_rounds").is_none());
     }
 
     #[test]
     fn append_creates_a_document_when_missing() {
-        let report = tiny_scale_report();
-        let doc = append_scale_round("", &scale_round_entry(&report, 1, "fresh"));
-        assert_eq!(next_scale_round(&doc), 2);
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        let mut doc = parse_report("").unwrap();
+        assert_eq!(tiny_scale_report().write_into(&mut doc, "fresh"), 1);
+        assert_eq!(next_round(&doc, "scale_rounds"), 2);
+        assert!(parse(&render_report(&doc)).is_ok());
     }
 }

@@ -6,12 +6,13 @@
 //! ephemeral port, one fixed-seed job submitted twice, the repeat must be
 //! a byte-identical cache hit). `loadtest` hammers a private server with
 //! in-process concurrent clients over a Zipf-skewed job mix and appends
-//! the measurement as a round of the `"serve_rounds"` section of
-//! `BENCH_perf.json` — the same append-only co-tenancy discipline as
-//! `"scale_rounds"` (see [`crate::section`]).
+//! the measurement as a round of the `"serve_rounds"` array of
+//! `BENCH_perf.json` ([`write_round`], through
+//! [`crate::perf::update_report_file`], like `"scale_rounds"`).
 
-use crate::section;
+use crate::perf::append_round;
 use asf_serve::loadtest::{LoadTestOpts, LoadTestReport};
+use asf_stats::json::{parse, JsonValue};
 use asf_stats::table::Table;
 use asf_workloads::Scale;
 
@@ -88,51 +89,34 @@ pub fn loadtest_table(opts: &LoadTestOpts, report: &LoadTestReport) -> Table {
     t
 }
 
-/// Render one `serve_rounds` entry for [`append_serve_round`].
-pub fn serve_round_entry(
+/// Append one load-test run as the next round of a `BENCH_perf.json`
+/// document's `"serve_rounds"` array, stamped with `git_subject`; every
+/// other key is left as it was. Returns the round number.
+pub fn write_round(
+    doc: &mut JsonValue,
     opts: &LoadTestOpts,
     report: &LoadTestReport,
-    round: u64,
     git_subject: &str,
-) -> String {
-    format!(
-        "{{\"round\": {round}, \"clients\": {}, \"distinct_specs\": {}, \
-         \"mix_seed\": {}, \"git_subject\": \"{}\", \"measure\": {}}}",
-        opts.clients,
-        opts.distinct_specs,
-        opts.seed,
-        section::sanitize(git_subject),
-        report.to_json(),
-    )
-}
-
-/// The verbatim `"serve_rounds": [...]` section text, if present.
-pub fn extract_serve_rounds(json: &str) -> Option<&str> {
-    section::extract_section(json, "serve_rounds")
-}
-
-/// The 1-based number the next appended round should carry.
-pub fn next_serve_round(json: &str) -> u64 {
-    section::next_round(json, "serve_rounds")
-}
-
-/// Append one round to the `"serve_rounds"` section of a `BENCH_perf.json`
-/// document (creating section/document as needed).
-pub fn append_serve_round(json: &str, entry: &str) -> String {
-    section::append_round(json, "serve_rounds", entry)
-}
-
-/// Re-attach `old_json`'s `"serve_rounds"` section to a freshly rendered
-/// perf report that lacks one.
-pub fn carry_serve_rounds(old_json: &str, new_json: &str) -> String {
-    section::carry_section(old_json, new_json, "serve_rounds")
+) -> u64 {
+    let measure = parse(&report.to_json()).expect("LoadTestReport::to_json is valid JSON");
+    append_round(doc, "serve_rounds", |round| {
+        JsonValue::obj([
+            ("round", round.into()),
+            ("clients", (opts.clients as u64).into()),
+            ("distinct_specs", (opts.distinct_specs as u64).into()),
+            ("mix_seed", opts.seed.into()),
+            ("git_subject", git_subject.into()),
+            ("measure", measure),
+        ])
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::perf::{next_round, parse_report, render_report};
 
-    fn fake_report() -> LoadTestReport {
+    pub(crate) fn fake_report() -> LoadTestReport {
         LoadTestReport {
             requests: 3072,
             cached: 2000,
@@ -155,14 +139,15 @@ mod tests {
     #[test]
     fn round_entry_is_valid_json_and_appends() {
         let opts = loadtest_opts(128, Scale::Small, 7);
-        let entry = serve_round_entry(&opts, &fake_report(), 1, "some [bracketed] \"subject\"");
-        let doc = append_serve_round("", &entry);
-        assert!(asf_stats::json::parse(&doc).is_ok(), "{doc}");
-        assert_eq!(next_serve_round(&doc), 2);
-        let doc2 = append_serve_round(&doc, &serve_round_entry(&opts, &fake_report(), 2, "x"));
-        assert!(asf_stats::json::parse(&doc2).is_ok(), "{doc2}");
-        assert_eq!(next_serve_round(&doc2), 3);
-        assert!(doc2.contains("\"speedup\": 150.0"));
+        let mut doc = parse_report("").unwrap();
+        assert_eq!(write_round(&mut doc, &opts, &fake_report(), "some [bracketed] \"subject\""), 1);
+        assert_eq!(next_round(&doc, "serve_rounds"), 2);
+        assert_eq!(write_round(&mut doc, &opts, &fake_report(), "x"), 2);
+        let parsed = parse_report(&render_report(&doc)).expect("rendered report parses");
+        assert_eq!(next_round(&parsed, "serve_rounds"), 3);
+        let round = &parsed.field("serve_rounds").unwrap().as_arr().unwrap()[1];
+        let speedup = round.field("measure").unwrap().field("speedup").unwrap();
+        assert_eq!(speedup.as_f64(), Ok(150.0));
     }
 
     #[test]

@@ -51,6 +51,18 @@ fn unknown_experiment_fails_with_usage() {
 }
 
 #[test]
+fn unknown_flags_fail_with_usage_before_any_work() {
+    // Unknown flags are rejected up front, before the matrix is computed.
+    for args in [&["--checkpoint", "x", "all"][..], &["--resume", "all"][..]] {
+        let (_, stderr, ok) = run(args);
+        assert!(!ok, "{args:?}");
+        assert!(stderr.contains(&format!("unknown flag {}", args[0])), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(!stderr.contains("computing run matrix"), "{stderr}");
+    }
+}
+
+#[test]
 fn help_flag_prints_usage_and_succeeds() {
     let (stdout, _, ok) = run(&["--help"]);
     assert!(ok);

@@ -10,10 +10,10 @@
 //!   configured capacity, and the evicted entry is always the
 //!   least-recently-used one (pinned by the proptest suite).
 //! * **Disk** — when a store directory is configured, every insert also
-//!   persists the artifact as `cell_<digest>.json` via a temp file with a
-//!   per-process unique suffix and an atomic rename (the
-//!   `harness::checkpoint` discipline), and a memory miss falls back to
-//!   disk, repopulating the LRU. A crash mid-write leaves either the old
+//!   persists the artifact as `cell_<digest>.json` through
+//!   [`asf_stats::atomic_write`] (a per-write unique temp file and an
+//!   atomic rename), and a memory miss falls back to disk, repopulating
+//!   the LRU. A crash mid-write leaves either the old
 //!   file or nothing — never a torn artifact.
 //! * **Checksums & quarantine** — every persisted cell
 //!   (`asf-serve-cell-v2`) carries an FNV-1a checksum over its delimited
@@ -33,6 +33,7 @@
 //!   leader's condvar.
 
 use asf_mem::fxhash::FxHashMap;
+use asf_stats::atomic_file::{atomic_write, unique_suffix};
 use asf_stats::json::{escape, parse};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -285,17 +286,6 @@ pub struct ResultCache {
     disk_chaos: Mutex<Option<DiskChaosHook>>,
 }
 
-/// Per-process temp-file sequence (see [`unique_tmp_suffix`]).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A temp-file suffix unique across processes (pid) *and* across threads
-/// of this process (sequence counter) — two writers sharing a store
-/// directory can never interleave bytes into one temp file. The same
-/// discipline as `harness::checkpoint` post-collision-fix.
-pub fn unique_tmp_suffix() -> String {
-    format!("tmp.{}.{}", std::process::id(), TMP_SEQ.fetch_add(1, Ordering::Relaxed))
-}
-
 impl ResultCache {
     /// Build a cache from its configuration. The disk directory is created
     /// eagerly so the first insert cannot race a missing parent.
@@ -477,13 +467,7 @@ impl ResultCache {
             }
         }
         out.push_str("\n}\n");
-        let tmp = path.with_file_name(format!(
-            "{}.{}",
-            path.file_name().unwrap_or_default().to_string_lossy(),
-            unique_tmp_suffix()
-        ));
-        std::fs::write(&tmp, out)?;
-        std::fs::rename(&tmp, &path)
+        atomic_write(&path, out)
     }
 
     fn disk_load(&self, digest: u64) -> Option<CachedResult> {
@@ -496,10 +480,9 @@ impl ResultCache {
                 // the evidence survives, count it, and let the next
                 // computation repopulate the slot.
                 let quarantined = path.with_file_name(format!(
-                    "{}.quarantine.{}.{}",
+                    "{}.quarantine.{}",
                     path.file_name().unwrap_or_default().to_string_lossy(),
-                    std::process::id(),
-                    TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+                    unique_suffix()
                 ));
                 match std::fs::rename(&path, &quarantined) {
                     Ok(()) => eprintln!(
@@ -632,9 +615,8 @@ mod tests {
     #[test]
     fn disk_store_survives_memory_eviction() {
         let dir = std::env::temp_dir().join(format!(
-            "asf_serve_cache_test_{}_{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            "asf_serve_cache_test_{}",
+            unique_suffix()
         ));
         let cache = ResultCache::new(CacheConfig {
             capacity: 1,
@@ -664,9 +646,8 @@ mod tests {
     #[test]
     fn corrupt_disk_cell_is_quarantined_not_served() {
         let dir = std::env::temp_dir().join(format!(
-            "asf_serve_corrupt_test_{}_{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            "asf_serve_corrupt_test_{}",
+            unique_suffix()
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let cell_path = dir.join(format!("cell_{:016x}.json", 5u64));
@@ -702,9 +683,8 @@ mod tests {
     #[test]
     fn checksum_mismatch_is_caught_and_quarantined() {
         let dir = std::env::temp_dir().join(format!(
-            "asf_serve_checksum_test_{}_{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            "asf_serve_checksum_test_{}",
+            unique_suffix()
         ));
         let cache = ResultCache::new(CacheConfig {
             capacity: 1,
@@ -726,9 +706,8 @@ mod tests {
     #[test]
     fn injected_write_failure_is_counted_and_memory_still_serves() {
         let dir = std::env::temp_dir().join(format!(
-            "asf_serve_failwrite_test_{}_{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            "asf_serve_failwrite_test_{}",
+            unique_suffix()
         ));
         let cache = ResultCache::new(CacheConfig {
             capacity: 4,

@@ -10,13 +10,14 @@
 //! A **dump trigger** — a worker panic (`mark_panicked`, once the pool
 //! has caught it), the deadline watchdog killing a job, or an explicit
 //! request — snapshots the ring to `flightrec_<pid>_<seq>.json` in the
-//! configured directory, written with the same temp-file + atomic-rename
-//! discipline as the cache store, so a crash mid-dump leaves either a
-//! whole artifact or nothing. Dumps are counted and surfaced in `/v1/healthz` as
+//! configured directory through [`asf_stats::atomic_write`] (temp file +
+//! atomic rename, like the cache store), so a crash mid-dump leaves either
+//! a whole artifact or nothing. Dumps are counted and surfaced in `/v1/healthz` as
 //! `flight_dumps`; with no directory configured the ring still records
 //! and counts, it just keeps everything in memory (unit-test servers
 //! don't litter the tree).
 
+use asf_stats::atomic_write;
 use asf_stats::json::escape;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -170,7 +171,7 @@ impl FlightRecorder {
         let body = self.to_json(reason, job);
         let seq = self.dump_seq.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("flightrec_{}_{}.json", std::process::id(), seq));
-        match write_atomic(dir, &path, &body) {
+        match std::fs::create_dir_all(dir).and_then(|()| atomic_write(&path, &body)) {
             Ok(()) => {
                 self.dump_paths.lock().expect("flightrec lock").push(path.clone());
                 Some(path)
@@ -183,18 +184,6 @@ impl FlightRecorder {
     }
 }
 
-/// Temp-file + atomic-rename write (the cache-store discipline): a crash
-/// mid-write leaves either the previous file or nothing, never torn JSON.
-fn write_atomic(dir: &Path, path: &Path, body: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let tmp = path.with_file_name(format!(
-        "{}.{}",
-        path.file_name().unwrap_or_default().to_string_lossy(),
-        crate::cache::unique_tmp_suffix()
-    ));
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path)
-}
 
 #[cfg(test)]
 mod tests {
@@ -232,7 +221,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "asf_flightrec_test_{}_{}",
             std::process::id(),
-            crate::cache::unique_tmp_suffix()
+            asf_stats::atomic_file::unique_suffix()
         ));
         let rec = FlightRecorder::new(8, Some(dir.clone()));
         rec.record("job.failed", Some("beef"), "boom");

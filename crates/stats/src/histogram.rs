@@ -65,7 +65,7 @@ impl LineHistogram {
     }
 
     /// Rebuild a histogram from `(line index, count)` pairs — the inverse
-    /// of [`LineHistogram::sorted`] for checkpoint deserialisation.
+    /// of [`LineHistogram::sorted`] for JSON deserialisation.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u64, u64)>) -> LineHistogram {
         let mut h = LineHistogram::default();
         for (idx, c) in pairs {
@@ -139,7 +139,7 @@ impl OffsetHistogram {
     }
 
     /// Rebuild from raw per-byte counts — the inverse of
-    /// [`OffsetHistogram::bytes`] for checkpoint deserialisation.
+    /// [`OffsetHistogram::bytes`] for JSON deserialisation.
     pub fn from_bytes(counts: [u64; LINE_SIZE]) -> OffsetHistogram {
         OffsetHistogram { counts }
     }

@@ -1,13 +1,12 @@
-//! Minimal JSON reading/writing for checkpoint files.
+//! Minimal JSON reading and writing.
 //!
-//! The repo's dependency policy rules out serde, and the existing
-//! hand-rolled emitters ([`crate::table::Table::to_json`], the harness
-//! perf report) only *write*. Crash-safe matrix checkpoints need the
-//! reverse direction too: a [`crate::run::RunStats`] must survive a
-//! JSON round-trip *exactly* (`from_json(to_json(s)) == s`), down to
-//! time-series stamp order, so that a `--resume`d matrix is bit-identical
-//! to a fresh one. Everything serialised here is a `u64`, so the parser
-//! keeps integers exact instead of routing them through `f64`.
+//! The repo's dependency policy rules out serde. [`parse`] keeps object
+//! members in source order and integers exact, and [`JsonValue::render`]
+//! writes a value back, so a document can be parsed, edited in one key
+//! and re-rendered without disturbing the rest — the way `asf-repro`
+//! maintains `BENCH_perf.json`. [`crate::run::RunStats`] also round-trips
+//! here *exactly* (`from_json(to_json(s)) == s`), down to time-series stamp
+//! order, which is what the serve layer's result bodies rely on.
 
 use crate::conflict::ConflictStats;
 use crate::fault::FaultStats;
@@ -78,6 +77,119 @@ impl JsonValue {
     pub fn as_u64_vec(&self) -> Result<Vec<u64>, String> {
         self.as_arr()?.iter().map(JsonValue::as_u64).collect()
     }
+
+    /// Any number as `f64`, whether it parsed as `Int` or `Num`.
+    pub fn as_f64(&self) -> Result<f64, String> {
+        match self {
+            JsonValue::Int(n) => Ok(*n as f64),
+            JsonValue::Num(f) => Ok(*f),
+            other => Err(format!("expected number, got {other:?}")),
+        }
+    }
+
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+        JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// `x` rounded to `decimals` places, so a report carries `5.022`
+    /// rather than every digit of a measured float.
+    pub fn rounded(x: f64, decimals: i32) -> JsonValue {
+        let scale = 10f64.powi(decimals);
+        JsonValue::Num((x * scale).round() / scale)
+    }
+
+    /// Set object member `key`: replaced in place when present, appended
+    /// last otherwise, so every other member keeps its value and position.
+    ///
+    /// # Panics
+    /// When `self` is not an object.
+    pub fn set(&mut self, key: &str, value: JsonValue) {
+        let JsonValue::Obj(pairs) = self else {
+            panic!("JsonValue::set({key:?}) on a non-object");
+        };
+        match pairs.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => *v = value,
+            None => pairs.push((key.to_string(), value)),
+        }
+    }
+
+    /// Render as JSON text. Containers fewer than `expand` levels deep put
+    /// each member on its own line (two-space indent); deeper ones stay on
+    /// one line. [`parse`] reads the text back to an equal value, except
+    /// that non-finite numbers, which JSON cannot express, render as `null`.
+    pub fn render(&self, expand: usize) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, expand, 0);
+        out
+    }
+
+    fn render_into(&self, out: &mut String, expand: usize, depth: usize) {
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Int(n) => out.push_str(&n.to_string()),
+            // Debug prints the shortest text that parses back to the same
+            // f64 and keeps a `.0` on whole numbers, so they stay `Num`.
+            JsonValue::Num(f) if f.is_finite() => out.push_str(&format!("{f:?}")),
+            JsonValue::Num(_) => out.push_str("null"),
+            JsonValue::Str(s) => out.push_str(&escape(s)),
+            JsonValue::Arr(items) => render_members(out, "[]", items, expand, depth, |out, v| {
+                v.render_into(out, expand, depth + 1)
+            }),
+            JsonValue::Obj(pairs) => {
+                render_members(out, "{}", pairs, expand, depth, |out, (k, v)| {
+                    out.push_str(&escape(k));
+                    out.push_str(": ");
+                    v.render_into(out, expand, depth + 1)
+                })
+            }
+        }
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> JsonValue {
+        JsonValue::Int(n)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> JsonValue {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+/// The comma-separated body of one container, one member per line when
+/// `depth < expand`.
+fn render_members<T>(
+    out: &mut String,
+    brackets: &str,
+    members: &[T],
+    expand: usize,
+    depth: usize,
+    mut member: impl FnMut(&mut String, &T),
+) {
+    let (open, close) = brackets.split_at(1);
+    out.push_str(open);
+    let broken = depth < expand && !members.is_empty();
+    for (i, m) in members.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if broken {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth + 1));
+        } else if i > 0 {
+            out.push(' ');
+        }
+        member(out, m);
+    }
+    if broken {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push_str(close);
 }
 
 /// Parse a JSON document (the subset emitted by this repo: no `\u` escapes
@@ -501,6 +613,45 @@ mod tests {
         let nasty = "quote\" backslash\\ newline\n tab\t ünïcode";
         let v = parse(&escape(nasty)).unwrap();
         assert_eq!(v.as_str().unwrap(), nasty);
+    }
+
+    #[test]
+    fn render_round_trips_through_parse() {
+        let src = r#"{"s": "q\" b\\ [x] ü\n", "n": [0, 18446744073709551615, 10.0, 0.1,
+                      -3.5, 1e21, 2.5e-8], "o": {"e": [], "f": {}, "t": true, "z": null}}"#;
+        let v = parse(src).unwrap();
+        for expand in 0..4 {
+            assert_eq!(parse(&v.render(expand)).unwrap(), v, "expand {expand}");
+        }
+        // Whole floats keep their type; non-finite numbers become null.
+        assert_eq!(JsonValue::Num(10.0).render(0), "10.0");
+        assert_eq!(JsonValue::Num(f64::NAN).render(0), "null");
+    }
+
+    #[test]
+    fn render_expands_only_the_outer_levels() {
+        let v = parse(r#"{"a": 1, "rows": [{"b": [1, 2]}, {"c": "d"}], "e": []}"#).unwrap();
+        assert_eq!(v.render(0), r#"{"a": 1, "rows": [{"b": [1, 2]}, {"c": "d"}], "e": []}"#);
+        let expanded = r#"{
+  "a": 1,
+  "rows": [
+    {"b": [1, 2]},
+    {"c": "d"}
+  ],
+  "e": []
+}"#;
+        assert_eq!(v.render(2), expanded);
+    }
+
+    #[test]
+    fn set_replaces_in_place_or_appends() {
+        let mut v = parse(r#"{"a": 1, "b": 2}"#).unwrap();
+        v.set("a", JsonValue::Str("x".into()));
+        v.set("c", JsonValue::Int(3));
+        assert_eq!(v.render(0), r#"{"a": "x", "b": 2, "c": 3}"#);
+        assert_eq!(v.field("b").unwrap().as_f64(), Ok(2.0));
+        assert_eq!(JsonValue::Num(2.5).as_f64(), Ok(2.5));
+        assert!(JsonValue::Null.as_f64().is_err());
     }
 
     #[test]

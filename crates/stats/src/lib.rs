@@ -14,8 +14,11 @@
 //!   the transaction / abort accounting behind Figure 10;
 //! * [`fault::FaultStats`] — injected-fault accounting for the
 //!   deterministic fault layer (kept out of the paper's abort taxonomy);
-//! * [`json`] — minimal JSON parse/serialise for crash-safe checkpoints
-//!   (`RunStats` round-trips exactly);
+//! * [`json`] — minimal order-preserving JSON parser and renderer
+//!   (`RunStats` round-trips exactly; `BENCH_perf.json` is read and
+//!   written through it);
+//! * [`atomic_file`] — temp-file + rename writes, so a crash never leaves
+//!   a torn file;
 //! * [`digest`] — the FNV-1a fold shared by the golden-stats fence and the
 //!   serve layer's content-addressed result cache;
 //! * [`metrics`] — observability accumulators: named counters,
@@ -36,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod atomic_file;
 pub mod chart;
 pub mod chrome;
 pub mod conflict;
@@ -50,6 +54,7 @@ pub mod series;
 pub mod slog;
 pub mod table;
 
+pub use atomic_file::atomic_write;
 pub use chart::BarChart;
 pub use chrome::ChromeTraceWriter;
 pub use conflict::ConflictStats;

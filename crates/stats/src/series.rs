@@ -65,7 +65,7 @@ impl TimeSeries {
         self.stamps.extend_from_slice(&other.stamps);
     }
 
-    /// Raw event stamps in recorded order (checkpoint serialisation).
+    /// Raw event stamps in recorded order (JSON serialisation).
     pub fn stamps(&self) -> &[u64] {
         &self.stamps
     }
