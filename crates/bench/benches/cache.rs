@@ -8,9 +8,7 @@
 //!   point of the serve layer is that this is the entire cost of a
 //!   repeated job);
 //! * `lookup_miss` — the miss path over a populated cache (what a fresh
-//!   spec pays before queueing);
-//! * `get_or_compute_hit` — the single-flight entry point when the answer
-//!   is already cached (submit path of a coalesced repeat).
+//!   spec pays before queueing).
 //!
 //! Like the other micro benches this compiles in CI via
 //! `cargo bench -- --test`.
@@ -81,24 +79,11 @@ fn bench_lookup_miss(c: &mut Criterion) {
     });
 }
 
-fn bench_get_or_compute_hit(c: &mut Criterion) {
-    let cache = populated(512);
-    let hot = 11u64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    c.bench_function("serve_cache/get_or_compute_hit", |b| {
-        b.iter(|| {
-            cache
-                .get_or_compute(black_box(hot), || unreachable!("resident entry"))
-                .expect("hit")
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_canonicalize,
     bench_digest,
     bench_lookup_hit,
-    bench_lookup_miss,
-    bench_get_or_compute_hit
+    bench_lookup_miss
 );
 criterion_main!(benches);

@@ -166,23 +166,20 @@ pub struct SimConfig {
     /// must be identical either way (the index only skips provably-empty
     /// cache walks); equivalence tests flip this to prove it.
     pub exhaustive_probe_walk: bool,
-    /// Cross-check the residency index against a full walk of every core's
-    /// caches on *every* probe (instead of the periodic debug-build
-    /// sampling). Slow; meant for the property/soak suites, where a stale
-    /// or leaked index entry should fail loudly rather than silently skip a
-    /// conflict check.
-    pub verify_residency: bool,
+    /// Cross-check both probe indexes on *every* probe (instead of the
+    /// periodic debug-build sampling): the residency index against a full
+    /// walk of every core's caches, and the speculative-state directory
+    /// against the per-core ground truth (live L1 metadata + retained
+    /// table). Slow; on in every property/soak suite, where a stale or
+    /// leaked entry should fail loudly rather than silently skip or
+    /// mis-classify a conflict check.
+    pub verify: bool,
     /// Disable the speculative-state directory for conflict *resolution*
     /// and walk each candidate victim's L1 + retained table per probe, as
     /// pre-directory builds did. Outcomes and statistics must be identical
     /// either way (the directory is a read-path index over the same
     /// metadata); equivalence tests flip this to prove it.
     pub exhaustive_spec_walk: bool,
-    /// Cross-check the speculative-state directory against the per-core
-    /// ground truth (live L1 metadata + retained table) on *every* probe,
-    /// mirroring `verify_residency`. On in every property suite; sampled in
-    /// debug builds otherwise.
-    pub verify_spec_directory: bool,
     /// Resolve probe conflicts victim-by-victim from a per-probe snapshot
     /// (the pre-batching code path) instead of the default two-phase
     /// batched pass over the spec-directory row. Outcomes and statistics
@@ -225,9 +222,8 @@ impl SimConfig {
             max_steps: 2_000_000_000,
             faults: FaultPlan::none(),
             exhaustive_probe_walk: false,
-            verify_residency: false,
+            verify: false,
             exhaustive_spec_walk: false,
-            verify_spec_directory: false,
             sequential_probe_resolution: false,
             tid_base: 0,
             system_cores: 0,
@@ -2073,19 +2069,12 @@ impl Machine {
             mask,
             invalidating: kind.invalidates(),
         });
-        // Periodic (debug builds) or per-probe (`verify_residency`) fence:
-        // a missing residency bit would silently skip a conflict check, so
-        // divergence must fail loudly here, not as wrong results downstream.
-        if self.cfg.verify_residency
-            || (cfg!(debug_assertions) && self.stats.probes.is_multiple_of(64))
-        {
+        // Periodic (debug builds) or per-probe (`verify`) fence: a missing
+        // residency bit would silently skip a conflict check and a stale
+        // directory column would mis-classify one, so divergence must fail
+        // loudly here, not as wrong results downstream.
+        if self.cfg.verify || (cfg!(debug_assertions) && self.stats.probes.is_multiple_of(64)) {
             self.crosscheck_residency(line, lid);
-        }
-        // Same fence for the speculative-state directory: a stale column
-        // would mis-classify (or miss) a conflict, so divergence fails here.
-        if self.cfg.verify_spec_directory
-            || (cfg!(debug_assertions) && self.stats.probes.is_multiple_of(64))
-        {
             self.crosscheck_spec_dir(line, lid);
         }
         let detector = self.effective_detector(lid);

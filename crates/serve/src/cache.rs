@@ -1,6 +1,7 @@
 //! The content-addressed result cache: in-memory LRU over completed job
-//! artifacts, backed by a crash-safe on-disk store, with single-flight
-//! coalescing of concurrent identical computations.
+//! artifacts, backed by a crash-safe on-disk store. It only stores and
+//! answers; coalescing of concurrent identical submissions happens once,
+//! in the server's job table (see [`crate::server`]).
 //!
 //! * **Keying** — entries are addressed by the [`crate::spec::JobSpec`]
 //!   digest; the simulator is deterministic, so one digest has exactly one
@@ -24,20 +25,13 @@
 //!   computation rewrites it. Rename-aside (not delete) is deliberate: a
 //!   corrupt cell means either torn hardware or a code bug, and both are
 //!   worth a post-mortem.
-//! * **Single-flight** — [`ResultCache::get_or_compute`] guarantees at
-//!   most one in-flight computation per digest: followers block on the
-//!   leader's condvar and are served the very entry the leader produced,
-//!   counted in [`CacheCounters::flight_joins`]. A *panicking* leader
-//!   publishes a failure to its followers and deregisters the flight
-//!   before the panic resumes — waiters can never be wedged on a dead
-//!   leader's condvar.
 
 use asf_mem::fxhash::FxHashMap;
 use asf_stats::atomic_file::{atomic_write, unique_suffix};
 use asf_stats::json::{escape, parse};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// One completed, servable artifact.
 #[derive(Clone, Debug)]
@@ -68,10 +62,6 @@ pub struct CacheCounters {
     pub inserts: AtomicU64,
     /// LRU entries evicted to respect the capacity bound.
     pub evictions: AtomicU64,
-    /// Computations that coalesced onto an in-flight identical one.
-    pub flight_joins: AtomicU64,
-    /// Computations that actually ran (single-flight leaders).
-    pub flight_leads: AtomicU64,
     /// Disk cells that failed parse/checksum verification and were
     /// renamed aside. Nonzero after restarts is fine (old-schema cells);
     /// *growing* under steady state means something is tearing writes.
@@ -86,15 +76,12 @@ impl CacheCounters {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"inserts\": {}, \
-             \"evictions\": {}, \"single_flight_joins\": {}, \"single_flight_leads\": {}, \
-             \"corrupt_quarantined\": {}, \"disk_write_failures\": {}}}",
+             \"evictions\": {}, \"corrupt_quarantined\": {}, \"disk_write_failures\": {}}}",
             self.hits.load(Ordering::Relaxed),
             self.disk_hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
             self.inserts.load(Ordering::Relaxed),
             self.evictions.load(Ordering::Relaxed),
-            self.flight_joins.load(Ordering::Relaxed),
-            self.flight_leads.load(Ordering::Relaxed),
             self.corrupt_quarantined.load(Ordering::Relaxed),
             self.disk_write_failures.load(Ordering::Relaxed),
         )
@@ -224,20 +211,6 @@ impl Lru {
 }
 
 // ---------------------------------------------------------------------------
-// Single-flight
-// ---------------------------------------------------------------------------
-
-enum FlightState {
-    Running,
-    Done(Result<CachedResult, String>),
-}
-
-struct Flight {
-    state: Mutex<FlightState>,
-    cv: Condvar,
-}
-
-// ---------------------------------------------------------------------------
 // The cache proper
 // ---------------------------------------------------------------------------
 
@@ -275,11 +248,10 @@ impl Default for CacheConfig {
     }
 }
 
-/// The memoizing store: LRU + disk + single-flight + counters.
+/// The memoizing store: LRU + disk + counters.
 pub struct ResultCache {
     lru: Mutex<Lru>,
-    flights: Mutex<FxHashMap<u64, Arc<Flight>>>,
-    /// Monotonic hit/miss/eviction/coalescing counters.
+    /// Monotonic hit/miss/eviction/disk counters.
     pub counters: CacheCounters,
     disk_dir: Option<PathBuf>,
     capacity: usize,
@@ -295,7 +267,6 @@ impl ResultCache {
         }
         Ok(ResultCache {
             lru: Mutex::new(Lru::new(cfg.capacity)),
-            flights: Mutex::new(FxHashMap::default()),
             counters: CacheCounters::default(),
             disk_dir: cfg.disk_dir,
             capacity: cfg.capacity,
@@ -342,9 +313,9 @@ impl ResultCache {
         None
     }
 
-    /// Insert a completed artifact (memory + disk). Public so a warm-up
-    /// loader can prime the cache; the normal path is
-    /// [`ResultCache::get_or_compute`].
+    /// Insert a completed artifact (memory + disk). The server calls it
+    /// once per successful computation; a warm-up loader can prime the
+    /// cache with it too.
     pub fn insert(&self, digest: u64, result: CachedResult) {
         self.counters.inserts.fetch_add(1, Ordering::Relaxed);
         if let Err(e) = self.disk_store(digest, &result) {
@@ -358,78 +329,6 @@ impl ResultCache {
         if self.lru.lock().unwrap().insert(digest, result).is_some() {
             self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// The memoizing entry point: a cached artifact is returned instantly;
-    /// otherwise at most one caller per digest runs `compute` (the
-    /// *leader*) while concurrent identical callers block and are served
-    /// the leader's entry. A failed computation is delivered to every
-    /// waiter but **not** cached — the next submission retries.
-    pub fn get_or_compute(
-        &self,
-        digest: u64,
-        compute: impl FnOnce() -> Result<CachedResult, String>,
-    ) -> Result<CachedResult, String> {
-        if let Some(hit) = self.lookup(digest) {
-            return Ok(hit);
-        }
-        // Join an in-flight computation, or become the leader.
-        let (flight, leader) = {
-            let mut flights = self.flights.lock().unwrap();
-            match flights.get(&digest) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Flight {
-                        state: Mutex::new(FlightState::Running),
-                        cv: Condvar::new(),
-                    });
-                    flights.insert(digest, Arc::clone(&f));
-                    (f, true)
-                }
-            }
-        };
-        if !leader {
-            self.counters.flight_joins.fetch_add(1, Ordering::Relaxed);
-            let mut state = flight.state.lock().unwrap();
-            while matches!(*state, FlightState::Running) {
-                state = flight.cv.wait(state).unwrap();
-            }
-            let FlightState::Done(result) = &*state else { unreachable!() };
-            return result.clone();
-        }
-        self.counters.flight_leads.fetch_add(1, Ordering::Relaxed);
-        // Double-check under flight leadership: another leader may have
-        // finished and vacated between our lookup and our registration.
-        let result = match self.lookup(digest) {
-            Some(hit) => Ok(hit),
-            None => {
-                // A panicking compute must not strand followers on the
-                // condvar: publish a failure and deregister the flight
-                // *before* the panic resumes towards the pool supervisor.
-                let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
-                match computed {
-                    Ok(computed) => {
-                        if let Ok(entry) = &computed {
-                            self.insert(digest, entry.clone());
-                        }
-                        computed
-                    }
-                    Err(payload) => {
-                        let failure = Err("computation panicked".to_string());
-                        *flight.state.lock().unwrap() = FlightState::Done(failure);
-                        flight.cv.notify_all();
-                        self.flights.lock().unwrap().remove(&digest);
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }
-        };
-        // Publish to waiters, then deregister the flight so later misses
-        // start fresh computations (the cache now answers them anyway).
-        *flight.state.lock().unwrap() = FlightState::Done(result.clone());
-        flight.cv.notify_all();
-        self.flights.lock().unwrap().remove(&digest);
-        result
     }
 
     // -- disk store ---------------------------------------------------------
@@ -720,31 +619,5 @@ mod tests {
         assert!(cache.lookup(3).is_some(), "memory path unaffected");
         assert!(!dir.join(format!("cell_{:016x}.json", 3u64)).exists());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn failed_computation_is_not_cached() {
-        let cache = ResultCache::new(CacheConfig::default()).unwrap();
-        let err = cache.get_or_compute(7, || Err("boom".to_string())).unwrap_err();
-        assert_eq!(err, "boom");
-        assert!(cache.lookup(7).is_none());
-        // A later attempt retries and can succeed.
-        let ok = cache.get_or_compute(7, || Ok(entry(7))).unwrap();
-        assert_eq!(ok.spec_digest, 7);
-        assert!(cache.lookup(7).is_some());
-    }
-
-    #[test]
-    fn panicking_leader_releases_followers_and_flight() {
-        let cache = Arc::new(ResultCache::new(CacheConfig::default()).unwrap());
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_compute(11, || panic!("leader died"))
-        }));
-        assert!(panicked.is_err(), "the panic must propagate to the supervisor");
-        // The flight was deregistered: a later caller becomes a fresh
-        // leader instead of wedging on a dead one's condvar.
-        let ok = cache.get_or_compute(11, || Ok(entry(11))).unwrap();
-        assert_eq!(ok.spec_digest, 11);
-        assert_eq!(cache.counters.flight_leads.load(Ordering::Relaxed), 2);
     }
 }

@@ -7,13 +7,15 @@
 //! that observation:
 //!
 //! - [`spec`] — canonical job specs and their content digests,
-//! - [`cache`] — an O(1) LRU over digests with a crash-safe disk store and
-//!   single-flight coalescing of concurrent identical computations,
+//! - [`cache`] — an O(1) LRU over digests with a crash-safe, checksummed
+//!   disk store,
 //! - [`pool`] — a bounded worker pool with immediate-reject admission
 //!   control (HTTP 429),
 //! - [`runner`] — spec → `Machine::run` → byte-deterministic result body,
 //! - [`http`] — tokio-free HTTP/1.1 framing over `std::net`,
-//! - [`server`] — the endpoint surface gluing the above together,
+//! - [`server`] — the endpoint surface gluing the above together, and the
+//!   job table that coalesces concurrent identical submissions onto one
+//!   job,
 //! - [`loadtest`] — an in-process many-client hammer measuring hit rate
 //!   and latency percentiles, plus the CI smoke check,
 //! - [`chaos`] — seeded, deterministic fault injection against the

@@ -265,12 +265,15 @@ pub fn run(opts: &LoadTestOpts) -> Result<LoadTestReport, String> {
     server.shutdown();
 
     latencies_ns.sort_unstable();
+    // Nearest rank, `ceil(p·n)`: the rank `Histogram::quantile` uses, so
+    // a `hist_*` percentile is the upper bound of the bucket holding the
+    // very sample its exact twin reports.
     let pct = |p: f64| -> f64 {
         if latencies_ns.is_empty() {
             return 0.0;
         }
-        let idx = ((latencies_ns.len() - 1) as f64 * p).round() as usize;
-        latencies_ns[idx] as f64 / 1_000.0
+        let rank = ((p * latencies_ns.len() as f64).ceil() as usize).clamp(1, latencies_ns.len());
+        latencies_ns[rank - 1] as f64 / 1_000.0
     };
     // Same samples through the allocation-free log2 histogram the server
     // uses on its hot path: the `hist_*` percentiles are what a scrape of

@@ -26,7 +26,7 @@ pub struct ServeMetrics {
     pub job_e2e_ns: AtomicHistogram,
     /// Submission → worker pickup, nanoseconds.
     pub queue_wait_ns: AtomicHistogram,
-    /// Worker compute time (cache `get_or_compute`), nanoseconds.
+    /// Worker compute time (cache lookup, simulation, insert), nanoseconds.
     pub execute_ns: AtomicHistogram,
     request_seq: AtomicU64,
 }

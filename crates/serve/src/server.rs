@@ -17,9 +17,11 @@
 //!
 //! A job's id **is** its spec digest (16 hex digits): submitting is
 //! idempotent, a repeat submission of a completed spec answers `cached`
-//! in O(1), and concurrent identical submissions — whether they race
-//! through the queue or arrive while one is running — coalesce onto a
-//! single computation (`ResultCache::get_or_compute`'s single-flight).
+//! in O(1), and concurrent identical submissions coalesce onto a single
+//! job in the job table. The table is the only coalescing point: a
+//! submission checks for a queued/running identical job and registers its
+//! own in one critical section under the table's lock, so an identical
+//! spec can never queue a second job while one is in flight.
 //!
 //! ## Deadlines & cancellation
 //!
@@ -40,7 +42,7 @@ use crate::chaos::ServeChaosPlan;
 use crate::flightrec::FlightRecorder;
 use crate::http::{read_request, write_response, write_response_typed, HttpError, HttpLimits, Request};
 use crate::metrics::{endpoint_label, ServeMetrics};
-use crate::pool::{PoolHealth, WorkerPool};
+use crate::pool::{PoolFull, PoolHealth, WorkerPool};
 use crate::runner::run_spec_cancellable;
 use crate::spec::{parse_digest_hex, JobSpec, Submission};
 use asf_machine::snapshot::{CancelKind, CancelToken, ProgressProbe};
@@ -261,7 +263,7 @@ impl ServeState {
     }
 
     /// The `GET /v1/metrics/prometheus` exposition: request counters by
-    /// endpoint/status, queue and worker gauges, cache and single-flight
+    /// endpoint/status, queue and worker gauges, cache and job-lifecycle
     /// counters, cancel/deadline/chaos counters, flight dumps, and the
     /// four latency histograms. Rendered by
     /// [`asf_stats::openmetrics::Renderer`], so its output parses with
@@ -298,8 +300,6 @@ impl ServeState {
             ("misses", c.misses.load(Ordering::Relaxed)),
             ("inserts", c.inserts.load(Ordering::Relaxed)),
             ("evictions", c.evictions.load(Ordering::Relaxed)),
-            ("flight_joins", c.flight_joins.load(Ordering::Relaxed)),
-            ("flight_leads", c.flight_leads.load(Ordering::Relaxed)),
             ("corrupt_quarantined", c.corrupt_quarantined.load(Ordering::Relaxed)),
             ("disk_write_failures", c.disk_write_failures.load(Ordering::Relaxed)),
         ] {
@@ -799,40 +799,6 @@ fn handle_submit(
     let digest = spec.digest();
     let id = spec.digest_hex();
     state.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-    // O(1) memoized repeat: answer straight from the store.
-    if state.cache.lookup(digest).is_some() {
-        state.submit_cache_hits.fetch_add(1, Ordering::Relaxed);
-        mark_done_entry(state, digest, &spec);
-        state.log.debug("serve.submit").str("rid", &ctx.rid).str("digest", &id).str("outcome", "cached").emit();
-        return reply(
-            stream,
-            state,
-            ctx,
-            200,
-            &[depth_header(state), ("x-asf-cache", "hit".to_string())],
-            &submit_reply(&id, "cached", state.queue_depth()),
-        );
-    }
-    // Coalesce onto an identical queued/running job.
-    {
-        let jobs = state.jobs.lock().unwrap();
-        if let Some(entry) = jobs.get(&digest) {
-            let phase = entry.phase.lock().unwrap().clone();
-            if matches!(phase, JobPhase::Queued | JobPhase::Running) {
-                state.submit_coalesced.fetch_add(1, Ordering::Relaxed);
-                state.cache.counters.flight_joins.fetch_add(1, Ordering::Relaxed);
-                state.log.debug("serve.submit").str("rid", &ctx.rid).str("digest", &id).str("outcome", "join").emit();
-                return reply(
-                    stream,
-                    state,
-                    ctx,
-                    200,
-                    &[depth_header(state), ("x-asf-cache", "join".to_string())],
-                    &submit_reply(&id, phase.label(), state.queue_depth()),
-                );
-            }
-        }
-    }
     // The effective deadline: client ask clamped to the cap, server
     // default otherwise. Submission-level only — it never touches the
     // content address.
@@ -840,24 +806,39 @@ fn handle_submit(
         .deadline_ms
         .unwrap_or(state.default_deadline_ms)
         .min(state.max_deadline_ms);
-    // Admission control: reject instead of queueing unboundedly.
-    let entry = Arc::new(JobEntry {
-        spec: spec.clone(),
-        phase: Mutex::new(JobPhase::Queued),
-        probe: Arc::new(ProgressProbe::new()),
-        cancel: Arc::new(CancelToken::new()),
-        deadline: Instant::now() + Duration::from_millis(deadline_ms),
-        submitted_at: Instant::now(),
-    });
-    let (job_state, job_entry) = (Arc::clone(state), Arc::clone(&entry));
-    let (panic_state, panic_entry) = (Arc::clone(state), Arc::clone(&entry));
-    let submit = state.pool.submit_with_recovery(
-        move || execute_job(&job_state, &job_entry),
-        move || mark_panicked(&panic_state, &panic_entry),
-    );
-    match submit {
-        Ok(depth) => {
-            state.jobs.lock().unwrap().insert(digest, entry);
+    // O(1) memoized repeat: answer straight from the store.
+    let admission = if state.cache.lookup(digest).is_some() {
+        mark_done_entry(state, digest, &spec);
+        Admission::Cached
+    } else {
+        admit(state, &spec, deadline_ms)
+    };
+    match admission {
+        Admission::Cached => {
+            state.submit_cache_hits.fetch_add(1, Ordering::Relaxed);
+            state.log.debug("serve.submit").str("rid", &ctx.rid).str("digest", &id).str("outcome", "cached").emit();
+            reply(
+                stream,
+                state,
+                ctx,
+                200,
+                &[depth_header(state), ("x-asf-cache", "hit".to_string())],
+                &submit_reply(&id, "cached", state.queue_depth()),
+            )
+        }
+        Admission::Joined(phase) => {
+            state.submit_coalesced.fetch_add(1, Ordering::Relaxed);
+            state.log.debug("serve.submit").str("rid", &ctx.rid).str("digest", &id).str("outcome", "join").emit();
+            reply(
+                stream,
+                state,
+                ctx,
+                200,
+                &[depth_header(state), ("x-asf-cache", "join".to_string())],
+                &submit_reply(&id, phase.label(), state.queue_depth()),
+            )
+        }
+        Admission::Queued(depth) => {
             state.flightrec.record("job.queued", Some(&id), "");
             state
                 .log
@@ -880,7 +861,8 @@ fn handle_submit(
                 ),
             )
         }
-        Err(full) => {
+        // Admission control: reject instead of queueing unboundedly.
+        Admission::Rejected(full) => {
             state.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             state
                 .log
@@ -903,6 +885,56 @@ fn handle_submit(
                 ),
             )
         }
+    }
+}
+
+/// How the job table answered a submission.
+enum Admission {
+    /// The result is in the cache.
+    Cached,
+    /// An identical job is queued or running; the submission joins it.
+    Joined(JobPhase),
+    /// A fresh job was registered and queued at this depth.
+    Queued(usize),
+    /// The queue was full; nothing was registered.
+    Rejected(PoolFull),
+}
+
+/// The one coalescing point: under the job table's lock, join an
+/// identical queued/running job, or register and enqueue a fresh one. The
+/// check and the registration share one critical section, so two
+/// identical submissions can never both queue a job, and a 429 leaves no
+/// entry behind.
+fn admit(state: &Arc<ServeState>, spec: &JobSpec, deadline_ms: u64) -> Admission {
+    let digest = spec.digest();
+    let mut jobs = state.jobs.lock().unwrap();
+    match jobs.get(&digest).map(|e| e.phase.lock().unwrap().clone()) {
+        Some(phase @ (JobPhase::Queued | JobPhase::Running)) => return Admission::Joined(phase),
+        // `execute_job` inserts the result before it publishes `done`, so
+        // a job that finished after the caller's cache miss is cached now.
+        Some(JobPhase::Done) if state.cache.lookup(digest).is_some() => return Admission::Cached,
+        _ => {}
+    }
+    let entry = Arc::new(JobEntry {
+        spec: spec.clone(),
+        phase: Mutex::new(JobPhase::Queued),
+        probe: Arc::new(ProgressProbe::new()),
+        cancel: Arc::new(CancelToken::new()),
+        deadline: Instant::now() + Duration::from_millis(deadline_ms),
+        submitted_at: Instant::now(),
+    });
+    let (job_state, job_entry) = (Arc::clone(state), Arc::clone(&entry));
+    let (panic_state, panic_entry) = (Arc::clone(state), Arc::clone(&entry));
+    let submit = state.pool.submit_with_recovery(
+        move || execute_job(&job_state, &job_entry),
+        move || mark_panicked(&panic_state, &panic_entry),
+    );
+    match submit {
+        Ok(depth) => {
+            jobs.insert(digest, entry);
+            Admission::Queued(depth)
+        }
+        Err(full) => Admission::Rejected(full),
     }
 }
 
@@ -950,8 +982,8 @@ fn mark_panicked(state: &ServeState, entry: &JobEntry) {
     entry.probe.finish();
 }
 
-/// Worker-side execution: run (or join) the computation, then publish the
-/// phase transition.
+/// Worker-side execution: answer from the cache or run the simulation,
+/// cache a successful result, then publish the phase transition.
 fn execute_job(state: &Arc<ServeState>, entry: &Arc<JobEntry>) {
     // A supervisor may have fired the token while we were queued (client
     // cancel, or the deadline passed before a worker freed up): terminal
@@ -1004,13 +1036,19 @@ fn execute_job(state: &Arc<ServeState>, entry: &Arc<JobEntry>) {
             panic!("chaos: injected worker panic");
         }
     }
-    let probe = Arc::clone(&entry.probe);
-    let cancel = Arc::clone(&entry.cancel);
-    let spec = entry.spec.clone();
     let execute_start = Instant::now();
-    let result = state.cache.get_or_compute(digest, move || {
-        run_spec_cancellable(&spec, Some(probe), Some(cancel))
-    });
+    // The lookup covers a result cached after this job was queued; only a
+    // successful run is inserted, so failures and cancellations are never
+    // cached. A panic unwinds to the pool, which runs `mark_panicked`.
+    let result = match state.cache.lookup(digest) {
+        Some(_) => Ok(()),
+        None => run_spec_cancellable(
+            &entry.spec,
+            Some(Arc::clone(&entry.probe)),
+            Some(Arc::clone(&entry.cancel)),
+        )
+        .map(|computed| state.cache.insert(digest, computed)),
+    };
     state
         .metrics
         .execute_ns
@@ -1028,8 +1066,8 @@ fn execute_job(state: &Arc<ServeState>, entry: &Arc<JobEntry>) {
         }
         Err(e) => {
             // The token says whether this failure *is* a cancellation;
-            // typed terminal states are never cached (`get_or_compute`
-            // drops every Err on the floor).
+            // typed terminal states are never cached (only `Ok` reaches
+            // `insert` above).
             if entry.cancel.kind().is_some() {
                 mark_cancelled(state, entry);
             } else {

@@ -1,13 +1,13 @@
 //! Property suite for the serve layer's content-addressed cache: spec
-//! digests must be canonical (field order cannot matter), the LRU must
-//! hold its capacity bound under arbitrary insert/lookup interleavings,
-//! and single-flight must collapse N concurrent identical computations
-//! into exactly one execution.
+//! digests must be canonical (field order cannot matter) and the LRU must
+//! hold its capacity bound under arbitrary insert/lookup interleavings.
+//! Exactly-once execution of concurrent identical submissions is the job
+//! table's, and is fenced end to end in `tests/coalescing.rs`.
 
 use asf_serve::cache::{CacheConfig, CacheCounters, CachedResult, ResultCache};
 use asf_serve::spec::JobSpec;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -183,75 +183,6 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Single-flight
-// ---------------------------------------------------------------------------
-
-/// N threads racing `get_or_compute` on one key: exactly one computation
-/// runs, everyone gets its value, and the counters agree.
-#[test]
-fn single_flight_runs_exactly_one_compute() {
-    for round in 0..16u64 {
-        let cache = Arc::new(memory_cache(8));
-        let computed = Arc::new(AtomicUsize::new(0));
-        let digest = 0xf00d + round;
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                let computed = Arc::clone(&computed);
-                std::thread::spawn(move || {
-                    cache.get_or_compute(digest, move || {
-                        computed.fetch_add(1, Ordering::SeqCst);
-                        // Widen the race window so followers really pile up
-                        // on the in-flight computation.
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                        Ok(fake_result(digest))
-                    })
-                })
-            })
-            .collect();
-        let results: Vec<_> = threads.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(
-            computed.load(Ordering::SeqCst),
-            1,
-            "exactly one compute must run (round {round})"
-        );
-        for r in &results {
-            let r = r.as_ref().expect("all callers share the one success");
-            assert_eq!(r.spec_digest, digest);
-            assert_eq!(*r.body, *results[0].as_ref().unwrap().body);
-        }
-        let leads = cache.counters.flight_leads.load(Ordering::Relaxed);
-        let joins = cache.counters.flight_joins.load(Ordering::Relaxed);
-        assert_eq!(leads, 1, "one leader");
-        // Late arrivals may find the value already cached (plain hit), so
-        // joins ∈ [0, 7]; leads + joins + hits must cover all 8 callers.
-        let hits = cache.counters.hits.load(Ordering::Relaxed);
-        assert_eq!(leads + joins + hits, 8, "every caller accounted for");
-    }
-}
-
-/// A failing computation is delivered to every waiter but never cached —
-/// the next call recomputes.
-#[test]
-fn failed_flights_are_not_cached() {
-    let cache = memory_cache(8);
-    let attempts = AtomicUsize::new(0);
-    let digest = 0xdead;
-    let once = cache.get_or_compute(digest, || {
-        attempts.fetch_add(1, Ordering::SeqCst);
-        Err::<CachedResult, String>("watchdog".into())
-    });
-    assert!(once.is_err());
-    assert!(cache.lookup(digest).is_none(), "failures must not be cached");
-    let again = cache.get_or_compute(digest, || {
-        attempts.fetch_add(1, Ordering::SeqCst);
-        Ok(fake_result(digest))
-    });
-    assert!(again.is_ok());
-    assert_eq!(attempts.load(Ordering::SeqCst), 2, "second call recomputes");
-}
-
 /// The counters JSON is parsable and carries every field the stats
 /// endpoint promises.
 #[test]
@@ -266,9 +197,11 @@ fn counters_render_all_fields() {
         "misses",
         "inserts",
         "evictions",
-        "single_flight_joins",
-        "single_flight_leads",
+        "corrupt_quarantined",
+        "disk_write_failures",
     ] {
         assert!(root.field(key).is_ok(), "missing {key} in {json}");
     }
+    // Coalescing is the job table's (`submit_coalesced`), not the cache's.
+    assert!(!json.contains("flight"), "stale coalescing key in {json}");
 }

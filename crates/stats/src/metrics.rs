@@ -16,6 +16,7 @@
 //! nondeterministic and are therefore kept out of `RunStats` entirely.
 
 use crate::json::escape;
+use crate::openmetrics::{Histogram, LOG2_BUCKETS};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -158,23 +159,17 @@ impl MetricsRegistry {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseId(usize);
 
-/// Number of log2(ns) buckets a phase histogram holds (covers < 1 ns up to
-/// ~½ s per sample).
-pub const PHASE_HIST_BUCKETS: usize = 30;
-
 /// Wall-time-per-phase accumulator for hot-path profiling hooks.
 ///
-/// Each recorded sample adds to the phase's call count, total nanoseconds,
-/// running maximum, and a log2(ns) histogram. Samples come from
-/// `std::time::Instant`, so totals vary run to run — keep reports out of
-/// anything digest-pinned.
+/// Each recorded sample lands in the phase's [`Histogram`] (call count,
+/// total nanoseconds, log2(ns) buckets) and its running maximum. Samples
+/// come from `std::time::Instant`, so totals vary run to run — keep
+/// reports out of anything digest-pinned.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseProfiler {
     names: Vec<String>,
-    counts: Vec<u64>,
-    total_ns: Vec<u64>,
+    hist: Vec<Histogram>,
     max_ns: Vec<u64>,
-    hist: Vec<[u64; PHASE_HIST_BUCKETS]>,
 }
 
 impl PhaseProfiler {
@@ -189,10 +184,8 @@ impl PhaseProfiler {
             return PhaseId(i);
         }
         self.names.push(name.to_string());
-        self.counts.push(0);
-        self.total_ns.push(0);
+        self.hist.push(Histogram::new());
         self.max_ns.push(0);
-        self.hist.push([0; PHASE_HIST_BUCKETS]);
         PhaseId(self.names.len() - 1)
     }
 
@@ -200,12 +193,8 @@ impl PhaseProfiler {
     #[inline]
     pub fn record(&mut self, id: PhaseId, elapsed: Duration) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let i = id.0;
-        self.counts[i] += 1;
-        self.total_ns[i] = self.total_ns[i].saturating_add(ns);
-        self.max_ns[i] = self.max_ns[i].max(ns);
-        let bucket = (64 - ns.leading_zeros() as usize).min(PHASE_HIST_BUCKETS - 1);
-        self.hist[i][bucket] += 1;
+        self.hist[id.0].record(ns);
+        self.max_ns[id.0] = self.max_ns[id.0].max(ns);
     }
 
     /// Number of registered phases.
@@ -219,16 +208,17 @@ impl PhaseProfiler {
     }
 
     /// Iterate `(name, count, total_ns, max_ns, histogram)` per phase.
-    pub fn phases(&self) -> impl Iterator<Item = (&str, u64, u64, u64, &[u64; PHASE_HIST_BUCKETS])> {
+    pub fn phases(&self) -> impl Iterator<Item = (&str, u64, u64, u64, &[u64; LOG2_BUCKETS])> {
         (0..self.names.len()).map(|i| {
-            (self.names[i].as_str(), self.counts[i], self.total_ns[i], self.max_ns[i], &self.hist[i])
+            let h = &self.hist[i];
+            (self.names[i].as_str(), h.count(), h.sum(), self.max_ns[i], h.buckets())
         })
     }
 
     /// Mean nanoseconds per sample for a phase (0 when never sampled).
     pub fn mean_ns(&self, id: PhaseId) -> u64 {
-        let i = id.0;
-        self.total_ns[i].checked_div(self.counts[i]).unwrap_or(0)
+        let h = &self.hist[id.0];
+        h.sum().checked_div(h.count()).unwrap_or(0)
     }
 
     /// Serialise as a JSON object:

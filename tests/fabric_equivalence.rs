@@ -129,7 +129,7 @@ fn residency_narrowed_walk_equals_exhaustive_walk() {
 fn residency_index_stays_exact_under_verification() {
     let w = randomized_workload(0xFABEC, 6);
     let mut cfg = SimConfig::paper_seeded(DetectorKind::SubBlock(4), 0xFAB);
-    cfg.verify_residency = true;
+    cfg.verify = true;
     let mut m = Machine::new(&w, cfg);
     let out = m.run_to_completion();
     m.verify_residency_index().expect("index exact after run");
@@ -177,7 +177,7 @@ fn spec_directory_resolution_equals_exhaustive_metadata_walk() {
 fn spec_directory_stays_exact_under_verification() {
     let w = randomized_workload(0xFABEC, 6);
     let mut cfg = SimConfig::paper_seeded(DetectorKind::SubBlock(4), 0xFAB);
-    cfg.verify_spec_directory = true;
+    cfg.verify = true;
     let mut m = Machine::new(&w, cfg);
     let out = m.run_to_completion();
     m.verify_spec_directory_index().expect("directory exact after run");

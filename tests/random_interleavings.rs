@@ -72,8 +72,7 @@ proptest! {
         let mut cfg = SimConfig::paper_seeded(detector, seed);
         cfg.machine = MachineConfig::opteron_with_cores(threads.len());
         cfg.max_retries = 24;
-        cfg.verify_residency = true;
-        cfg.verify_spec_directory = true;
+        cfg.verify = true;
         let out = Machine::run(&w, cfg);
         prop_assert_eq!(out.stats.isolation_violations, 0);
         prop_assert_eq!(out.stats.tx_committed, total_txns);

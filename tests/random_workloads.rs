@@ -103,8 +103,7 @@ proptest! {
         // Exactness cross-checks of the residency index (DESIGN.md §10)
         // and the speculative-state directory (DESIGN.md §11) on every
         // probe — free coverage from the random stress.
-        cfg.verify_residency = true;
-        cfg.verify_spec_directory = true;
+        cfg.verify = true;
         let out = Machine::run(&workload, cfg);
         prop_assert_eq!(out.stats.isolation_violations, 0);
         let total_txns: u64 = threads.iter().map(|t| t.len() as u64).sum();

@@ -10,13 +10,12 @@ fn detectors() -> Vec<DetectorKind> {
     DetectorKind::paper_set()
 }
 
-/// Paper config with the residency-index exactness cross-check enabled on
-/// every probe (DESIGN.md §10) — this whole suite doubles as its stress
-/// test.
+/// Paper config with the residency-index and spec-directory exactness
+/// cross-checks enabled on every probe (DESIGN.md §10, §11) — this whole
+/// suite doubles as their stress test.
 fn cfg(d: DetectorKind, seed: u64) -> SimConfig {
     let mut c = SimConfig::paper_seeded(d, seed);
-    c.verify_residency = true;
-    c.verify_spec_directory = true;
+    c.verify = true;
     c
 }
 
